@@ -25,7 +25,6 @@ from .errors import (
 
 THRESHOLD = 0.5
 WEIGHT_DECIMALS = core.WEIGHT_DECIMALS
-STRATEGIES = ("output",)
 
 
 def quantize(values):
@@ -40,7 +39,7 @@ def threshold_activation(value: float) -> int:
     return 1 if value >= THRESHOLD else 0
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass
 class ThresholdGate:
     """Update function for layered perceptrons: weighted sum, then threshold.
 
@@ -53,13 +52,10 @@ class ThresholdGate:
     bias: np.ndarray
     kind = "ann"
 
+    __eq__ = core.fields_equal
+
     def __post_init__(self):
         self.bias = quantize(np.asarray(self.bias, dtype=np.float64))
-
-    def __eq__(self, other):
-        if not isinstance(other, ThresholdGate):
-            return NotImplemented
-        return np.array_equal(self.bias, other.bias)
 
     def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
         schedule = system.schedule
@@ -134,7 +130,6 @@ class TrainingConfig:
     rate: float = 0.1
     epochs: int = 200
     budget: int = 100000
-    strategy: str = "output"
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate >= 0):
@@ -143,8 +138,6 @@ class TrainingConfig:
             raise OutOfRange("epoch cap must be at least 1, got %d" % self.epochs)
         if self.budget < 1:
             raise OutOfRange("correction budget must be at least 1, got %d" % self.budget)
-        if self.strategy not in STRATEGIES:
-            raise UnsupportedKind("unknown training strategy %r" % self.strategy)
 
 
 @dataclasses.dataclass

@@ -22,9 +22,11 @@ import math
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import numpy as np
 
@@ -71,14 +73,7 @@ class Document:
             raise StateDomainViolation("target states must be 0 or 1")
         self.target = target
 
-    def __eq__(self, other):
-        if not isinstance(other, Document):
-            return NotImplemented
-        if self.system != other.system or self.steps != other.steps:
-            return False
-        if (self.target is None) != (other.target is None):
-            return False
-        return self.target is None or np.array_equal(self.target, other.target)
+    __eq__ = core.fields_equal
 
 
 def format_weight(value: float) -> str:
@@ -370,155 +365,132 @@ def interpret_text(doc: Document) -> str:
 # --- source generation -----------------------------------------------------
 
 
-def _wrap(values: list[str], per_line: int, indent: str) -> str:
+def _wrap(values: list[str], per_line: int) -> str:
     lines = []
     for start in range(0, len(values), per_line):
-        lines.append(indent + ", ".join(values[start : start + per_line]) + ",")
+        lines.append("    " + ", ".join(values[start : start + per_line]) + ",")
     return "\n".join(lines)
 
 
-def _float_literal(value: float) -> str:
-    # repr round-trips doubles exactly and reads as a literal in both C and Python
-    return repr(float(value))
-
-
 def _csr(system: core.MetastableSystem) -> tuple[list[int], list[int], list[float]]:
-    row_start = [0]
-    col_index: list[int] = []
-    col_weight: list[float] = []
-    for i in range(system.count):
-        for j in np.flatnonzero(system.milieu[i]):
-            col_index.append(int(j))
-            col_weight.append(float(system.milieu[i, j]))
-        row_start.append(len(col_index))
-    return row_start, col_index, col_weight
+    """The milieu row by row: entity u reads entries row_start[u] .. row_start[u+1].
+
+    A ring row lists its columns in code order, i-1, i, i+1 (wrapping), so
+    folding the row as code = 2*code + state gives the code 4l+2c+r. A net
+    row lists them in ascending order, the order in which the interpreter sums.
+    """
+    p = system.count
+    if system.kind == "ca":
+        cells = np.arange(p)
+        rows = np.repeat(cells, 3)
+        cols = np.stack([(cells - 1) % p, cells, (cells + 1) % p], axis=1).ravel()
+    else:
+        rows, cols = np.nonzero(system.milieu)
+    row_start = np.searchsorted(rows, np.arange(p + 1))
+    return row_start.tolist(), cols.tolist(), system.milieu[rows, cols].tolist()
 
 
-def _generate_ca_c(doc: Document) -> str:
-    system = doc.system
-    cells = _wrap([str(int(v)) for v in system.init], 20, "    ")
-    table = ", ".join(str(b) for b in system.update.bits)
-    return """\
-/* structure */
-#include <stdio.h>
-
-#define P %d
-#define STEPS %d
-
-static int cells[P] = {
-%s
-};
-static int next_cells[P];
-
-/* milieu */
-/* ring wiring: cell i reads cells i-1, i, i+1, wrapping at the ends */
-static int left_of(int i) { return (i + P - 1) %% P; }
-static int right_of(int i) { return (i + 1) %% P; }
-
-/* update */
-static const int TABLE[8] = {%s};
-
-/* main loop */
-static void show(const int *v) {
-    char line[P + 1];
-    for (int i = 0; i < P; i++) line[i] = (char)('0' + v[i]);
-    line[P] = '\\0';
-    puts(line);
+# The body of value(u) for each kind and backend: fold u's row into the
+# neighbourhood code or the input sum, then gate it into the new state.
+_VALUE = {
+    ("ca", "c"): """\
+int code = 0;
+for (int k = ROW_START[u]; k < ROW_START[u + 1]; k++) code = 2 * code + act[COL_INDEX[k]];
+return TABLE[code];""",
+    ("ca", "python"): """\
+code = 0
+for j in ROW[u]:
+    code = 2 * code + act[j]
+return TABLE[code]""",
+    ("ann", "c"): """\
+double s = BIAS[u];
+for (int k = ROW_START[u]; k < ROW_START[u + 1]; k++) s += COL_WEIGHT[k] * act[COL_INDEX[k]];
+return s >= 0.5;""",
+    ("ann", "python"): """\
+s = BIAS[u]
+for j, w in zip(ROW[u], COL_WEIGHT[ROW_START[u] : ROW_START[u + 1]]):
+    s += w * act[j]
+return 1 if s >= 0.5 else 0""",
 }
 
-int main(void) {
-    show(cells);
-    for (int t = 0; t < STEPS; t++) {
-        for (int i = 0; i < P; i++) {
-            int code = 4 * cells[left_of(i)] + 2 * cells[i] + cells[right_of(i)];
-            next_cells[i] = TABLE[code];
-        }
-        for (int i = 0; i < P; i++) cells[i] = next_cells[i];
-        show(cells);
-    }
-    return 0;
+# How each backend writes a constant, a table, and the break in a comment
+# that runs over two lines. ISO C forbids empty initializers, so an empty C
+# table is padded with one slot.
+_SYNTAX = {
+    "c": ("#define %s %d", "static const %(ctype)s %(name)s[] = {\n%(values)s\n};\n", ["0"], "\n   "),
+    "python": ("%s = %d", "%(name)s = [\n%(values)s\n]\n", [], "\n# "),
 }
-""" % (system.count, doc.steps, cells, table)
 
 
-def _generate_ca_python(doc: Document) -> str:
+def _fields(doc: Document, backend: str) -> dict[str, str]:
+    """What the backend's template fills in, written in the backend's syntax.
+
+    The scheduled range [lo, hi) of step t is given as expressions that read
+    the same in C and Python: all entities, or one layer.
+    """
+    const, table, pad, comment_break = _SYNTAX[backend]
     system = doc.system
-    cells = _wrap([str(int(v)) for v in system.init], 20, "    ")
-    table = ", ".join(str(b) for b in system.update.bits)
-    return """\
-# structure
-P = %d
-STEPS = %d
-cells = [
-%s
-]
-
-# milieu
-# ring wiring: cell i reads cells i-1, i, i+1, wrapping at the ends
-def left_of(i):
-    return (i - 1) %% P
-
-def right_of(i):
-    return (i + 1) %% P
-
-# update
-TABLE = [%s]
-
-# main loop
-def show(v):
-    print("".join(str(x) for x in v))
-
-show(cells)
-for _t in range(STEPS):
-    cells = [TABLE[4 * cells[left_of(i)] + 2 * cells[i] + cells[right_of(i)]] for i in range(P)]
-    show(cells)
-""" % (system.count, doc.steps, cells, table)
-
-
-def _generate_ann_c(doc: Document) -> str:
-    system = doc.system
-    schedule = system.schedule
     row_start, col_index, col_weight = _csr(system)
-    nnz = len(col_index)
-    act = _wrap([str(int(v)) for v in system.init], 20, "    ")
-    starts = _wrap([str(v) for v in row_start], 20, "    ")
-    # ISO C forbids empty initializers, so pad the no-edges case with one slot
-    idx = _wrap([str(v) for v in col_index] or ["0"], 20, "    ")
-    wts = _wrap([_float_literal(v) for v in col_weight] or ["0.0"], 8, "    ")
-    bias = _wrap([_float_literal(v) for v in system.update.bias], 8, "    ")
+    consts = [("P", system.count), ("STEPS", doc.steps)]
+    milieu = [("int", "ROW_START", row_start), ("int", "COL_INDEX", col_index)]
+    if system.kind == "ca":
+        update = [("int", "TABLE", system.update.bits)]
+        note = ["neighbourhood code 4*left + 2*centre + right, looked up in the rule table"]
+        lo, hi = "0", "P"
+    else:
+        consts += [("LAYERS", system.schedule.layers), ("WIDTH", system.schedule.width)]
+        milieu.append(("double", "COL_WEIGHT", col_weight))
+        update = [("double", "BIAS", system.update.bias)]
+        note = [
+            "input sum: bias plus weighted previous-layer activations, in ascending",
+            "entity order; the gate fires at 0.5 and above",
+        ]
+        lo, hi = "(t % (LAYERS - 1) + 1) * WIDTH", "(t % (LAYERS - 1) + 2) * WIDTH"
+
+    def tables(items) -> str:
+        text = ""
+        for ctype, name, values in items:
+            if ctype == "double":
+                # repr round-trips doubles exactly and reads as a literal in both C and Python
+                literals = _wrap([repr(float(v)) for v in values] or pad, 8)
+            else:
+                literals = _wrap([str(int(v)) for v in values] or pad, 20)
+            text += table % {"ctype": ctype, "name": name, "values": literals}
+        return text
+
+    return {
+        "consts": "\n".join(const % item for item in consts),
+        "init": _wrap([str(int(v)) for v in system.init], 20),
+        "milieu": tables(milieu),
+        "note": comment_break.join(note),
+        "update": tables(update),
+        "value": textwrap.indent(_VALUE[system.kind, backend], "    "),
+        "lo": lo,
+        "hi": hi,
+    }
+
+
+def _generate_c(doc: Document) -> str:
     return """\
 /* structure */
 #include <stdio.h>
 
-#define P %d
-#define LAYERS %d
-#define WIDTH %d
-#define STEPS %d
+%(consts)s
 
 static int act[P] = {
-%s
+%(init)s
 };
+static int next_act[P];
 
 /* milieu */
-/* weights in row-compressed form: unit u reads entries row_start[u] .. row_start[u+1] */
-#define NNZ %d
-static const int ROW_START[P + 1] = {
-%s
-};
-static const int COL_INDEX[NNZ > 0 ? NNZ : 1] = {
-%s
-};
-static const double COL_WEIGHT[NNZ > 0 ? NNZ : 1] = {
-%s
-};
-
+/* row-compressed wiring: entity u reads entries ROW_START[u] .. ROW_START[u+1] */
+%(milieu)s
 /* update */
-/* input sum: bias plus weighted previous-layer activations, in ascending
-   entity order; the gate fires at 0.5 and above */
-static const double BIAS[P] = {
-%s
-};
-static int gate(double s) { return s >= 0.5 ? 1 : 0; }
+/* %(note)s */
+%(update)s
+static int value(int u) {
+%(value)s
+}
 
 /* main loop */
 static void show(const int *v) {
@@ -531,105 +503,52 @@ static void show(const int *v) {
 int main(void) {
     show(act);
     for (int t = 0; t < STEPS; t++) {
-        int layer = (t %% (LAYERS - 1)) + 1;
-        for (int u = layer * WIDTH; u < (layer + 1) * WIDTH; u++) {
-            double s = BIAS[u];
-            for (int k = ROW_START[u]; k < ROW_START[u + 1]; k++) {
-                s += COL_WEIGHT[k] * (double)act[COL_INDEX[k]];
-            }
-            act[u] = gate(s);
-        }
+        int lo = %(lo)s, hi = %(hi)s;
+        for (int u = lo; u < hi; u++) next_act[u] = value(u);
+        for (int u = lo; u < hi; u++) act[u] = next_act[u];
         show(act);
     }
     return 0;
 }
-""" % (
-        system.count,
-        schedule.layers,
-        schedule.width,
-        doc.steps,
-        act,
-        nnz,
-        starts,
-        idx,
-        wts,
-        bias,
-    )
+""" % _fields(doc, "c")
 
 
-def _generate_ann_python(doc: Document) -> str:
-    system = doc.system
-    schedule = system.schedule
-    row_start, col_index, col_weight = _csr(system)
-    act = _wrap([str(int(v)) for v in system.init], 20, "    ")
-    starts = _wrap([str(v) for v in row_start], 20, "    ")
-    idx = _wrap([str(v) for v in col_index], 20, "    ") if col_index else "    # none"
-    wts = _wrap([_float_literal(v) for v in col_weight], 8, "    ") if col_weight else "    # none"
-    bias = _wrap([_float_literal(v) for v in system.update.bias], 8, "    ")
+def _generate_python(doc: Document) -> str:
     return """\
 # structure
-P = %d
-LAYERS = %d
-WIDTH = %d
-STEPS = %d
+%(consts)s
 act = [
-%s
+%(init)s
 ]
 
 # milieu
-# weights in row-compressed form: unit u reads entries ROW_START[u] .. ROW_START[u+1]
-ROW_START = [
-%s
-]
-COL_INDEX = [
-%s
-]
-COL_WEIGHT = [
-%s
-]
+# row-compressed wiring: entity u reads entries ROW_START[u] .. ROW_START[u+1]
+%(milieu)s# the same rows cut out once, one list of columns per entity
+ROW = [COL_INDEX[ROW_START[u] : ROW_START[u + 1]] for u in range(P)]
 
 # update
-# input sum: bias plus weighted previous-layer activations, in ascending
-# entity order; the gate fires at 0.5 and above
-BIAS = [
-%s
-]
-def gate(s):
-    return 1 if s >= 0.5 else 0
+# %(note)s
+%(update)s
+def value(u):
+%(value)s
 
 # main loop
 def show(v):
-    print("".join(str(x) for x in v))
+    print("".join(["01"[x] for x in v]))
 
 show(act)
 for t in range(STEPS):
-    layer = (t %% (LAYERS - 1)) + 1
-    for u in range(layer * WIDTH, (layer + 1) * WIDTH):
-        s = BIAS[u]
-        for k in range(ROW_START[u], ROW_START[u + 1]):
-            s += COL_WEIGHT[k] * act[COL_INDEX[k]]
-        act[u] = gate(s)
+    lo, hi = %(lo)s, %(hi)s
+    act[lo:hi] = [value(u) for u in range(lo, hi)]
     show(act)
-""" % (
-        system.count,
-        schedule.layers,
-        schedule.width,
-        doc.steps,
-        act,
-        starts,
-        idx,
-        wts,
-        bias,
-    )
+""" % _fields(doc, "python")
 
 
 def generate(doc: Document, backend: str) -> str:
     """Standalone source that prints the document's trajectory, line by line."""
     if backend not in BACKENDS:
         raise NoBackendConfigured("unknown backend '%s'; available: %s" % (backend, ", ".join(BACKENDS)))
-    if doc.system.kind == "ca":
-        return _generate_ca_c(doc) if backend == "c" else _generate_ca_python(doc)
-    return _generate_ann_c(doc) if backend == "c" else _generate_ann_python(doc)
+    return _generate_c(doc) if backend == "c" else _generate_python(doc)
 
 
 def source_suffix(backend: str) -> str:
@@ -677,7 +596,10 @@ def toolchain_available(backend: str) -> bool:
 
 
 def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") -> str:
-    """Write source to a scratch directory, run the toolchain, return stdout."""
+    """Write source to a scratch directory, run the toolchain, return stdout.
+
+    The toolchain starts a new session; on a timeout its process group is killed and reaped.
+    """
     scratch = tempfile.mkdtemp(prefix="modelprog-")
     try:
         src = os.path.join(scratch, "program" + suffix)
@@ -690,22 +612,26 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
             )
         except (KeyError, IndexError) as err:
             raise ParseError("toolchain command has an unknown placeholder: %s" % err) from None
-        try:
-            proc = subprocess.run(
-                command,
-                shell=True,
-                capture_output=True,
-                text=True,
-                timeout=config.timeout,
-            )
-        except subprocess.TimeoutExpired:
-            raise RunTimeout("toolchain exceeded %.1fs" % config.timeout) from None
+        with subprocess.Popen(
+            command,
+            shell=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=config.timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise RunTimeout("toolchain exceeded %.1fs" % config.timeout) from None
         if proc.returncode != 0:
             raise CompileFailed(
                 "toolchain exited with status %d" % proc.returncode,
-                diagnostics=(proc.stderr or proc.stdout).strip(),
+                diagnostics=(stderr or stdout).strip(),
             )
-        return proc.stdout
+        return stdout
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -726,16 +652,15 @@ class VerifyReport:
     def compare(expected: str, actual: str) -> "VerifyReport":
         if expected == actual:
             return VerifyReport(equal=True, expected=expected, actual=actual, mismatch_line=None)
-        exp_lines = expected.splitlines()
-        act_lines = actual.splitlines()
-        where = len(exp_lines) + 1
+        # Lines keep their terminators, so a line that differs only in how it
+        # ends (a missing final newline) is the line reported.
+        exp_lines = expected.splitlines(keepends=True)
+        act_lines = actual.splitlines(keepends=True)
+        where = min(len(exp_lines), len(act_lines)) + 1
         for k, (e, a) in enumerate(zip(exp_lines, act_lines), 1):
             if e != a:
                 where = k
                 break
-        else:
-            if len(act_lines) < len(exp_lines):
-                where = len(act_lines) + 1
         return VerifyReport(equal=False, expected=expected, actual=actual, mismatch_line=where)
 
 

@@ -83,9 +83,7 @@ def _cmd_ann_train(args) -> int:
     seed = _pick_seed(args)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     system = ann.make_network(args.layers, args.width, args.init, rng=rng)
-    config = ann.TrainingConfig(
-        rate=args.rate, epochs=args.epochs, budget=args.budget, strategy=args.strategy
-    )
+    config = ann.TrainingConfig(rate=args.rate, epochs=args.epochs, budget=args.budget)
     _, report = ann.train(system, args.target, config)
     for epoch, score in enumerate(report.history, 1):
         print("epoch %d match %s" % (epoch, SCORE % score))
@@ -185,7 +183,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--rate", type=float, default=0.1, help="learning rate (default 0.1)")
     p.add_argument("--epochs", type=int, default=200, help="epoch cap (default 200)")
     p.add_argument("--budget", type=int, default=100000, help="correction cap (default 100000)")
-    p.add_argument("--strategy", default="output", help="which layer to correct (default output)")
     p.add_argument("--goal", type=float, default=1.0, help="match that counts as success (default 1.0)")
     p.add_argument("--seed", type=int, help="weight seed (default: fresh, echoed to stderr)")
 

@@ -89,6 +89,21 @@ class LayeredSweep:
 Schedule = Synchronous | LayeredSweep
 
 
+def fields_equal(self, other):
+    """``__eq__`` for dataclasses that hold arrays: same type, and every field
+    equal, arrays compared by shape and value with ``np.array_equal``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for field in dataclasses.fields(self):
+        a, b = getattr(self, field.name), getattr(other, field.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
 @dataclasses.dataclass
 class Structural:
     """What the population is: size, alphabet, initial and current states."""
@@ -98,15 +113,7 @@ class Structural:
     init: np.ndarray
     current: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Structural):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.states == other.states
-            and np.array_equal(self.init, other.init)
-            and np.array_equal(self.current, other.current)
-        )
+    __eq__ = fields_equal
 
 
 @dataclasses.dataclass
@@ -118,18 +125,10 @@ class Operational:
     schedule: Schedule
     fan_in: int
 
-    def __eq__(self, other):
-        if not isinstance(other, Operational):
-            return NotImplemented
-        return (
-            self.update == other.update
-            and np.array_equal(self.milieu, other.milieu)
-            and self.schedule == other.schedule
-            and self.fan_in == other.fan_in
-        )
+    __eq__ = fields_equal
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass
 class MetastableSystem:
     """A bound, runnable system: both halves checked against each other."""
 
@@ -142,23 +141,11 @@ class MetastableSystem:
     current: np.ndarray
     fan_in: int
 
+    __eq__ = fields_equal
+
     @property
     def count(self) -> int:
         return int(self.init.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, MetastableSystem):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.states == other.states
-            and self.update == other.update
-            and np.array_equal(self.milieu, other.milieu)
-            and self.schedule == other.schedule
-            and np.array_equal(self.init, other.init)
-            and np.array_equal(self.current, other.current)
-            and self.fan_in == other.fan_in
-        )
 
 
 def parse_state_string(text: str) -> np.ndarray:
@@ -277,7 +264,8 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
     _check_states("init", init, count, BINARY)
     _check_states("current", current, count, BINARY)
 
-    milieu = np.asarray(operational.milieu).copy()
+    # each kind's astype below copies, so the bound system never shares this array
+    milieu = np.asarray(operational.milieu)
     if milieu.shape != (count, count):
         raise DimensionMismatch(
             "milieu has shape %s, expected (%d, %d)" % (milieu.shape, count, count)
@@ -296,7 +284,8 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
         if not isinstance(schedule, LayeredSweep):
             raise UnsupportedKind("perceptron populations update one layer per step")
         # Weights live on a 9-decimal grid so the text form is lossless.
-        milieu = np.round(milieu.astype(np.float64), WEIGHT_DECIMALS)
+        milieu = milieu.astype(np.float64)
+        np.round(milieu, WEIGHT_DECIMALS, out=milieu)
         _check_layered(milieu, update.bias, schedule, count)
         expected_fan_in = schedule.width + 1
     else:
@@ -356,24 +345,28 @@ def step(system: MetastableSystem, t: int = 0) -> MetastableSystem:
     return dataclasses.replace(system, current=_next_state(system, t))
 
 
-def run(system: MetastableSystem, steps: int, t0: int = 0) -> np.ndarray:
-    """Record ``steps`` steps; returns a (steps+1, count) array starting at ``current``."""
+def _walk(system: MetastableSystem, steps: int, t0: int, record: bool):
+    """Take ``steps`` steps from ``t0``: the final system, and the
+    (steps+1, count) trajectory when ``record`` is set (else None)."""
     if steps < 0:
         raise OutOfRange("step count must not be negative, got %d" % steps)
-    out = np.empty((steps + 1, system.count), dtype=np.int64)
-    out[0] = system.current
+    out = None
+    if record:
+        out = np.empty((steps + 1, system.count), dtype=np.int64)
+        out[0] = system.current
     work = dataclasses.replace(system)
     for t in range(steps):
         work.current = _next_state(work, t0 + t)
-        out[t + 1] = work.current
-    return out
+        if record:
+            out[t + 1] = work.current
+    return work, out
+
+
+def run(system: MetastableSystem, steps: int, t0: int = 0) -> np.ndarray:
+    """Record ``steps`` steps; returns a (steps+1, count) array starting at ``current``."""
+    return _walk(system, steps, t0, record=True)[1]
 
 
 def advance(system: MetastableSystem, steps: int, t0: int = 0) -> MetastableSystem:
     """Like ``run`` but returns only the final system, recording nothing."""
-    if steps < 0:
-        raise OutOfRange("step count must not be negative, got %d" % steps)
-    work = dataclasses.replace(system)
-    for t in range(steps):
-        work.current = _next_state(work, t0 + t)
-    return work
+    return _walk(system, steps, t0, record=False)[0]

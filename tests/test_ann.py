@@ -139,7 +139,6 @@ def test_training_config_defaults_and_validation():
     assert config.rate == 0.1
     assert config.epochs == 200
     assert config.budget == 100000
-    assert config.strategy == "output"
     ann.TrainingConfig(rate=0.0)  # a frozen rate is allowed
     with pytest.raises(OutOfRange):
         ann.TrainingConfig(rate=-0.1)
@@ -149,8 +148,6 @@ def test_training_config_defaults_and_validation():
         ann.TrainingConfig(epochs=0)
     with pytest.raises(OutOfRange):
         ann.TrainingConfig(budget=0)
-    with pytest.raises(UnsupportedKind):
-        ann.TrainingConfig(strategy="everything")
 
 
 # --- training --------------------------------------------------------------

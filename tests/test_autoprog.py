@@ -1,6 +1,8 @@
 """Model-program text form, interpreter, generated sources, and toolchains."""
 
 import dataclasses
+import os
+import time
 
 import numpy as np
 import pytest
@@ -321,6 +323,31 @@ def test_compile_and_run_times_out():
         autoprog.compile_and_run("x", config)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_compile_and_run_leaves_no_process_behind(tmp_path):
+    """A timeout kills everything the toolchain started, not just its shell."""
+    pid_file = tmp_path / "pid"
+    config = autoprog.ToolchainConfig(
+        command="true {src}; sleep 3.21 & echo $! > %s; wait" % pid_file, timeout=0.5
+    )
+    with pytest.raises(RunTimeout):
+        autoprog.compile_and_run("x", config)
+    pid = int(pid_file.read_text())
+
+    def alive() -> bool:
+        try:
+            with open("/proc/%d/stat" % pid) as handle:
+                stat = handle.read()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + 2.0
+    while alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not alive()
+
+
 def test_compile_failures_carry_diagnostics():
     config = autoprog.ToolchainConfig(command="ls {src}.missing")
     with pytest.raises(CompileFailed) as err:
@@ -341,20 +368,37 @@ def test_compare_spots_the_first_differing_line():
     report = autoprog.VerifyReport.compare("a\nb\n", "a\n")
     assert not report.equal
     assert report.mismatch_line == 2
+    report = autoprog.VerifyReport.compare("01\n10\n", "01\n10")
+    assert not report.equal
+    assert report.mismatch_line == 2
     assert autoprog.VerifyReport.compare("a\n", "a\n").equal
 
 
+def _backend_documents():
+    silent = ann.make_network(3, 2, "10")  # all-zero weights and biases: no milieu entries
+    assert not silent.milieu.any() and not silent.update.bias.any()
+    return [
+        ca_document(rule=110, init=INIT, steps=STEPS),
+        ann_document(),
+        ca_document(rule=30, init="001", steps=6),  # row 0 wraps at both ends
+        ca_document(rule=110, init="0010110", steps=0),
+        ann_document(steps=0),
+        autoprog.Document(system=silent, steps=4),
+        ann_document(layers=4, width=3, steps=8),  # more than layers-1 steps: the sweep wraps
+    ]
+
+
 def test_python_backend_agrees_with_the_interpreter():
-    for doc in (ca_document(rule=110, init=INIT, steps=STEPS), ann_document()):
+    for doc in _backend_documents():
         report = autoprog.verify(doc, "python")
-        assert report.equal, report.mismatch_line
+        assert report.equal, (autoprog.emit(doc), report.mismatch_line)
 
 
 @pytest.mark.skipif(not autoprog.toolchain_available("c"), reason="no C toolchain")
 def test_c_backend_agrees_with_the_interpreter():
-    for doc in (ca_document(rule=110, init=INIT, steps=STEPS), ann_document()):
+    for doc in _backend_documents():
         report = autoprog.verify(doc, "c")
-        assert report.equal, report.mismatch_line
+        assert report.equal, (autoprog.emit(doc), report.mismatch_line)
 
 
 def test_verify_surfaces_wrong_programs():
