@@ -103,9 +103,10 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
         bias = np.zeros(count, dtype=np.float64)
 
     structural = core.Structural(count=count, states=core.BINARY, init=init, current=init.copy())
+    # modulate and ThresholdGate put weights and bias on the text form's grid
     operational = core.Operational(
-        update=ThresholdGate(bias=np.asarray(bias, dtype=np.float64)),
-        milieu=quantize(np.asarray(weights, dtype=np.float64)),
+        update=ThresholdGate(bias=bias),
+        milieu=weights,
         schedule=schedule,
         fan_in=width + 1,
     )
@@ -115,7 +116,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
 def forward(system: core.MetastableSystem) -> np.ndarray:
     """One full sweep from the initial state; returns the final full state."""
     fresh = dataclasses.replace(system, current=system.init.copy())
-    return core.run(fresh, system.schedule.layers - 1)[-1]
+    return core.advance(fresh, system.schedule.layers - 1).current
 
 
 @dataclasses.dataclass(frozen=True)

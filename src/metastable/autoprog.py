@@ -142,13 +142,15 @@ def _state_vector(text: str, expected: int, what: str) -> np.ndarray:
     return vec
 
 
-def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> np.ndarray:
-    milieu = np.zeros((p, p), dtype=np.float64 if weighted else np.int64)
+def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> list[tuple[int, int, float]]:
+    """The milieu's ``(row, col, value)`` entries; p-sized arrays wait until
+    the init line has shown that p is real."""
+    entries: list[tuple[int, int, float]] = []
     last_row = -1
     while True:
         item = reader.peek()
         if item is None or item[1][0] != "row":
-            return milieu
+            return entries
         number, tokens = reader.take("milieu row")
         if len(tokens) < 2 or not tokens[1].endswith(":"):
             raise ParseError("milieu rows look like 'row <i>: <entries>'", number)
@@ -174,7 +176,7 @@ def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> np.ndarray:
             if j in seen:
                 raise SemanticError("column %d repeats in row %d" % (j, i))
             seen.add(j)
-            milieu[i, j] = w
+            entries.append((i, j, w))
 
 
 def parse(text: str) -> Document:
@@ -219,7 +221,7 @@ def parse(text: str) -> Document:
     number, tokens = reader.take("'milieu:' header")
     if tokens != ["milieu:"]:
         raise ParseError("expected 'milieu:' section header", number)
-    milieu = _parse_milieu(reader, p, weighted=(kind == "ann"))
+    entries = _parse_milieu(reader, p, weighted=(kind == "ann"))
 
     number, tokens = reader.take("'update:' header")
     if tokens != ["update:"]:
@@ -253,7 +255,7 @@ def parse(text: str) -> Document:
         (strategy,) = _scalar(reader, "strategy")
         if strategy != "threshold":
             raise SemanticError("the only supported gate strategy is 'threshold'")
-        bias = np.zeros(p, dtype=np.float64)
+        biases: list[tuple[int, float]] = []
         last_bias = -1
         while True:
             item = reader.peek()
@@ -271,8 +273,7 @@ def parse(text: str) -> Document:
             if i <= last_bias:
                 raise SemanticError("bias %d repeats or is out of order" % i)
             last_bias = i
-            bias[i] = w
-        update = ann.ThresholdGate(bias=bias)
+            biases.append((i, w))
         fan_in = width + 1
 
     (init_text,) = _scalar(reader, "init")
@@ -295,6 +296,16 @@ def parse(text: str) -> Document:
     item = reader.peek()
     if item is not None:
         raise ParseError("unexpected content after the document", item[0])
+
+    # init has p cells, so p is no larger than the document: build the arrays
+    milieu = np.zeros((p, p), dtype=np.float64 if kind == "ann" else np.int64)
+    for i, j, w in entries:
+        milieu[i, j] = w
+    if kind == "ann":
+        bias = np.zeros(p, dtype=np.float64)
+        for i, w in biases:
+            bias[i] = w
+        update = ann.ThresholdGate(bias=bias)
 
     structural = core.Structural(count=p, states=core.BINARY, init=init, current=init.copy())
     operational = core.Operational(update=update, milieu=milieu, schedule=schedule, fan_in=fan_in)
@@ -381,9 +392,8 @@ def _csr(system: core.MetastableSystem) -> tuple[list[int], list[int], list[floa
     """
     p = system.count
     if system.kind == "ca":
-        cells = np.arange(p)
-        rows = np.repeat(cells, 3)
-        cols = np.stack([(cells - 1) % p, cells, (cells + 1) % p], axis=1).ravel()
+        rows = np.repeat(np.arange(p), 3)
+        cols = core.ring_columns(p).ravel()
     else:
         rows, cols = np.nonzero(system.milieu)
     row_start = np.searchsorted(rows, np.arange(p + 1))

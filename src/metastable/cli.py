@@ -106,12 +106,10 @@ def _cmd_codegen(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = _read_model(args.model)
-    toolchain = None
-    if args.toolchain is not None:
-        toolchain = autoprog.ToolchainConfig(command=args.toolchain, timeout=args.timeout)
-    elif args.timeout != 60.0:
-        base = autoprog.default_toolchain(args.backend)
-        toolchain = autoprog.ToolchainConfig(command=base.command, timeout=args.timeout)
+    command = args.toolchain
+    if command is None:
+        command = autoprog.default_toolchain(args.backend).command
+    toolchain = autoprog.ToolchainConfig(command=command, timeout=args.timeout)
     report = autoprog.verify(doc, args.backend, toolchain)
     if report.equal:
         print("equal")
@@ -195,7 +193,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", required=True, help="model-program file")
     p.add_argument("--backend", required=True, help="c or python")
     p.add_argument("--toolchain", help="build-and-run command template; must mention {src}")
-    p.add_argument("--timeout", type=float, default=60.0, help="toolchain timeout in seconds")
+    timeout = autoprog.ToolchainConfig.timeout
+    p.add_argument("--timeout", type=float, default=timeout, help="toolchain timeout in seconds")
 
     p = sub("demodulate", _cmd_demodulate, "split a model program into its two halves")
     p.add_argument("--model", required=True, help="model-program file")
@@ -222,21 +221,21 @@ def _apply_config(argv: list[str], index: dict[str, argparse.ArgumentParser]) ->
     if not argv or argv[0] not in index:
         return True
     command = argv[0]
+    subparser = index[command]
+    options = {o[2:]: a for a in subparser._actions for o in a.option_strings if o.startswith("--")}
     path = None
     rest = argv[1:]
     for k, token in enumerate(rest):
-        if token == "--config" and k + 1 < len(rest):
+        # argparse takes any unambiguous prefix of a long flag: --conf, --c=FILE
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or [key for key in options if key.startswith(name[2:])] != ["config"]:
+            continue
+        if eq:
+            path = value
+        elif k + 1 < len(rest):
             path = rest[k + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
     if path is None:
         return True
-    subparser = index[command]
-    options = {}
-    for action in subparser._actions:
-        for option in action.option_strings:
-            if option.startswith("--"):
-                options[option[2:]] = action
     try:
         pairs = _load_config(path)
     except (OSError, MetastableError) as err:

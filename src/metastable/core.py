@@ -54,7 +54,7 @@ class Synchronous:
     """Every entity updates at every step."""
 
     def active(self, t: int, count: int) -> np.ndarray:
-        return _full_range(count)
+        return np.arange(count)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,10 +188,8 @@ def _check_states(name: str, vec: np.ndarray, count: int, states: tuple[int, ...
 def _check_ring(milieu: np.ndarray, count: int):
     if count < 3:
         raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
-    if not _binary(milieu):
-        raise UnsupportedKind("ring milieu entries must be 0 or 1")
-    if not np.array_equal(milieu != 0, _ring_pattern(count)):
-        raise UnsupportedKind("milieu is not the ring each cell needs")
+    if not np.array_equal(milieu, _ring_cached(count)):
+        raise UnsupportedKind("milieu is not the 0/1 ring each cell needs")
 
 
 def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep, count: int):
@@ -209,39 +207,28 @@ def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep,
     w = schedule.width
     if bias[:w].any():
         raise UnsupportedKind("input-layer entities cannot carry a bias")
-    # Edges may only run from layer l-1 into layer l.
-    allowed = np.zeros((count, count), dtype=bool)
-    for layer in range(1, schedule.layers):
-        rows = schedule.slice_of(layer)
-        cols = schedule.slice_of(layer - 1)
-        allowed[rows, cols] = True
-    if (milieu[~allowed] != 0).any():
+    # Edges may only run from layer l-1 into layer l: every nonzero weight
+    # lies in one of those (disjoint) blocks.
+    in_blocks = sum(
+        np.count_nonzero(milieu[schedule.slice_of(layer), schedule.slice_of(layer - 1)])
+        for layer in range(1, schedule.layers)
+    )
+    if np.count_nonzero(milieu) != in_blocks:
         raise UnsupportedKind("weights must connect consecutive layers only")
+
+
+def ring_columns(count: int) -> np.ndarray:
+    """Each cell's neighbours in code order: row i is (i-1, i, i+1), wrapping."""
+    cells = np.arange(count)
+    return np.stack([(cells - 1) % count, cells, (cells + 1) % count], axis=1)
 
 
 @functools.lru_cache(maxsize=64)
 def _ring_cached(count: int) -> np.ndarray:
     m = np.zeros((count, count), dtype=np.int64)
-    idx = np.arange(count)
-    m[idx, (idx - 1) % count] = 1
-    m[idx, idx] = 1
-    m[idx, (idx + 1) % count] = 1
+    np.put_along_axis(m, ring_columns(count), 1, axis=1)
     m.setflags(write=False)
     return m
-
-
-@functools.lru_cache(maxsize=64)
-def _ring_pattern(count: int) -> np.ndarray:
-    pattern = _ring_cached(count) != 0
-    pattern.setflags(write=False)
-    return pattern
-
-
-@functools.lru_cache(maxsize=64)
-def _full_range(count: int) -> np.ndarray:
-    idx = np.arange(count)
-    idx.setflags(write=False)
-    return idx
 
 
 def ring_milieu(count: int) -> np.ndarray:

@@ -75,7 +75,3 @@ class CompileFailed(MetastableError):
 
 class RunTimeout(MetastableError):
     """The toolchain command exceeded its time budget."""
-
-
-class OutputParseError(MetastableError):
-    """A generated program's output is not a valid trajectory stream."""

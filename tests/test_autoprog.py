@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import INIT, STEPS, TARGET, make_rng
 from metastable import ann, autoprog, ca, core
 from metastable.errors import (
     CompileFailed,
+    MetastableError,
     NoBackendConfigured,
     OutOfRange,
     ParseError,
@@ -247,6 +249,71 @@ def test_parse_rejects_non_ring_milieus():
     text = autoprog.emit(ca_document(init="00100"))
     with pytest.raises(UnsupportedKind):
         autoprog.parse(_swap(text, "row 0: 0 1 4", "row 0: 0 1 2"))
+
+
+def test_parse_sizes_nothing_by_an_unchecked_p():
+    # a short document that claims a million entities: the init line
+    # disagrees before any p-sized array exists
+    text = _swap(autoprog.emit(ca_document(init="010")), "p 3", "p 1000000")
+    assert len(text) < 200
+    tracemalloc.start()
+    try:
+        with pytest.raises(SemanticError):
+            autoprog.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(SemanticError):
+        autoprog.parse(_swap(text, "p 1000000", "p 99999999999"))
+
+
+MUTATION_BASES = {
+    "ca": autoprog.emit(ca_document(target="0110110")),
+    "ann": autoprog.emit(ann_document(target="101")),
+}
+MUTATION_TOKENS = st.sampled_from(
+    [
+        "0", "1", "-1", "2", "3", "7", "1000000", "99999999999", "1e400", "1e300",
+        "nan", "inf", "row", "0:", "9:", "3=0.5", "0=nan", "bias", "p", "init",
+        "steps", "target", "010", "layered", "synchronous", "milieu:", "update:",
+    ]
+) | st.text(alphabet="01-=:.e9x #", max_size=6)
+
+
+@given(
+    st.sampled_from(sorted(MUTATION_BASES)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("set", "insert", "drop", "copy")),
+            st.integers(0, 99),
+            st.integers(0, 99),
+            MUTATION_TOKENS,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_parse_or_raise_typed_errors(kind, edits):
+    lines = [line.split() for line in MUTATION_BASES[kind].splitlines()]
+    for op, at, pos, token in edits:
+        if not lines:
+            break
+        line = lines[at % len(lines)]
+        if op == "set":
+            line[pos % len(line)] = token
+        elif op == "insert":
+            line.insert(pos % (len(line) + 1), token)
+        elif op == "drop":
+            lines.remove(line)
+        else:
+            lines.insert(at % len(lines), list(line))
+    text = "\n".join(" ".join(line) for line in lines)
+    try:
+        autoprog.parse(text)
+    except MetastableError:
+        pass
 
 
 # --- interpreter -----------------------------------------------------------

@@ -294,6 +294,27 @@ def test_verify_toolchain_failures_exit_three(capsys, reference_model):
     assert "error:" in err
 
 
+def test_verify_builds_its_toolchain_from_the_flags(capsys, reference_model):
+    base = ["verify", "--model", reference_model, "--backend", "python"]
+    code, out, err = run_cli(capsys, base + ["--toolchain", ""])
+    assert code == 2
+    assert "{src}" in err
+    code, out, err = run_cli(capsys, base + ["--timeout", "0"])
+    assert code == 2
+    code, out, err = run_cli(capsys, base + ["--timeout", "30"])
+    assert code == 0
+    assert out.strip() == "equal"
+
+
+def test_big_p_model_exits_two(capsys, tmp_path, reference_model):
+    text = open(reference_model).read().replace("p 31", "p 1000000")
+    path = tmp_path / "big.amp"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["demodulate", "--model", str(path)])
+    assert code == 2
+    assert "init" in err
+
+
 def test_demodulate_prints_both_halves(capsys, reference_model):
     code, out, err = run_cli(capsys, ["demodulate", "--model", reference_model])
     lines = out.splitlines()
@@ -354,6 +375,18 @@ def test_flags_override_the_config_file(capsys, tmp_path):
     )
     assert code == 1
     assert len(out.splitlines()) == 4  # three attempts, then the exhausted line
+
+
+def test_config_flag_prefixes_load_the_file(capsys, tmp_path):
+    # argparse accepts any unambiguous prefix of --config; each must load the file
+    conf = tmp_path / "search.conf"
+    conf.write_text("budget 3\nseed 42\n")
+    problem = ["--init", INIT, "--target", TARGET, "--steps", str(STEPS)]
+    for flag in (["--conf", str(conf)], ["--c", str(conf)], ["--con=%s" % conf]):
+        code, out, err = run_cli(capsys, ["ca-search"] + flag + problem)
+        assert code == 1
+        assert len(out.splitlines()) == 4  # three attempts, then the exhausted line
+        assert err == ""  # the seed came from the file, so none is echoed
 
 
 def test_unknown_config_keys_exit_two(capsys, tmp_path):

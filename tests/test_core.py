@@ -166,6 +166,14 @@ def test_modulate_rejects_broken_ring():
     operational.milieu[0, 2] = 1
     with pytest.raises(UnsupportedKind):
         core.modulate(structural, operational)
+    operational.milieu = system.milieu.copy()
+    operational.milieu[0, 1] = 2  # a ring entry that is not 0 or 1
+    with pytest.raises(UnsupportedKind):
+        core.modulate(structural, operational)
+    operational.milieu = system.milieu.copy()
+    operational.milieu[0, 2] = -1  # off the ring
+    with pytest.raises(UnsupportedKind):
+        core.modulate(structural, operational)
 
 
 def test_modulate_rejects_tiny_ring():
@@ -210,6 +218,10 @@ def test_modulate_rejects_cross_layer_edges():
     system = ann.make_network(3, 2, "10")
     structural, operational = core.demodulate(system)
     operational.milieu[4, 0] = 0.5  # output unit reading the input layer
+    with pytest.raises(UnsupportedKind):
+        core.modulate(structural, operational)
+    operational.milieu = system.milieu.copy()
+    operational.milieu[2, 4] = 0.5  # layer-1 unit reading layer 2, backwards
     with pytest.raises(UnsupportedKind):
         core.modulate(structural, operational)
 
