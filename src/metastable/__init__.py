@@ -20,7 +20,7 @@ from .autoprog import (
     parse,
     verify,
 )
-from .ca import RuleTable, make_automaton, run_rule
+from .ca import RuleTable, make_automaton
 from .core import (
     LayeredSweep,
     MetastableSystem,
@@ -76,7 +76,6 @@ __all__ = [
     "render_state",
     "ring_milieu",
     "run",
-    "run_rule",
     "step",
     "threshold_activation",
     "train",

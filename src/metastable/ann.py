@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteInput,
     OutOfRange,
+    StateDomainViolation,
     UnsupportedKind,
 )
 
@@ -58,14 +59,14 @@ class ThresholdGate:
         self.bias = quantize(np.asarray(self.bias, dtype=np.float64))
 
     def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
-        schedule = system.schedule
-        layer = int(active[0]) // schedule.width
-        prev = system.current
-        sums = self.bias[active].astype(np.float64, copy=True)
-        lo = (layer - 1) * schedule.width
-        for j in range(lo, lo + schedule.width):
-            sums += system.milieu[active, j] * float(prev[j])
-        return (sums >= THRESHOLD).astype(np.int64)
+        width = system.schedule.width
+        prev = slice(int(active[0]) - width, int(active[0]))
+        # columns [bias | w*x] summed strictly left to right: add.accumulate
+        # is sequential where np.sum would pair terms up
+        terms = np.empty((active.size, width + 1))
+        terms[:, 0] = self.bias[active]
+        np.multiply(system.milieu[active, prev], system.current[prev], out=terms[:, 1:])
+        return (np.add.accumulate(terms, axis=1)[:, -1] >= THRESHOLD).astype(np.int64)
 
 
 def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, rng=None) -> core.MetastableSystem:
@@ -173,61 +174,40 @@ def train(system: core.MetastableSystem, target, config: TrainingConfig | None =
         raise DimensionMismatch(
             "target has %d entries, expected width %d" % (target_vec.size, schedule.width)
         )
+    if not np.isin(target_vec, core.BINARY).all():
+        raise StateDomainViolation("target contains values outside %s" % (core.BINARY,))
 
-    weights = system.milieu.copy()
-    bias = system.update.bias.copy()
+    weights, gate = system.milieu.copy(), ThresholdGate(bias=system.update.bias)
+    trained = dataclasses.replace(system, milieu=weights, update=gate)
     out_rows = schedule.slice_of(schedule.layers - 1)
     prev_rows = schedule.slice_of(schedule.layers - 2)
 
-    best_match = -1.0
-    best_epoch = 0
-    final_match = 0.0
     corrections = 0
-    exact = False
     history: list[float] = []
-    epochs_run = 0
-
-    current = system
-    for epoch in range(1, config.epochs + 1):
-        current = dataclasses.replace(current, milieu=weights, update=ThresholdGate(bias=bias))
-        state = forward(current)
+    for _ in range(config.epochs):
+        state = forward(trained)
         output = state[out_rows]
-        score = core.match(output, target_vec)
-        history.append(score)
-        epochs_run = epoch
-        final_match = score
-        if score > best_match:
-            best_match = score
-            best_epoch = epoch
-        if score == 1.0:
-            exact = True
+        history.append(core.match(output, target_vec))
+        if history[-1] == 1.0:
             break
-        prev = state[prev_rows].astype(np.float64)
-        exhausted = False
-        for j in range(schedule.width):
-            want = int(target_vec[j])
-            got = int(output[j])
-            if want == got:
-                continue
-            if corrections >= config.budget:
-                exhausted = True
-                break
-            g = out_rows.start + j
-            delta = config.rate * float(want - got)
-            bias[g] = quantize(bias[g] + delta)
-            weights[g, prev_rows] = quantize(weights[g, prev_rows] + delta * prev)
-            corrections += 1
-        if exhausted:
+        # every wrong output unit, in ascending order, as far as the budget goes
+        wrong = np.flatnonzero(output != target_vec)
+        fixed = wrong[: config.budget - corrections]
+        g = out_rows.start + fixed
+        delta = config.rate * (target_vec[fixed] - output[fixed]).astype(np.float64)
+        gate.bias[g] = quantize(gate.bias[g] + delta)
+        weights[g, prev_rows] = quantize(weights[g, prev_rows] + delta[:, None] * state[prev_rows])
+        corrections += fixed.size
+        if fixed.size < wrong.size:
             break
 
-    trained = dataclasses.replace(current, milieu=weights, update=ThresholdGate(bias=bias))
     report = TrainingReport(
-        best_match=best_match,
-        best_epoch=best_epoch,
-        final_match=final_match,
-        epochs_run=epochs_run,
+        best_match=max(history),
+        best_epoch=history.index(max(history)) + 1,
+        final_match=history[-1],
+        epochs_run=len(history),
         corrections=corrections,
-        exact=exact,
+        exact=history[-1] == 1.0,
         history=history,
     )
     return trained, report

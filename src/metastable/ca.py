@@ -49,10 +49,15 @@ class RuleTable:
         return self.bits[4 * left + 2 * center + right]
 
     def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
-        cells = system.current
-        codes = 4 * np.roll(cells, 1) + 2 * cells + np.roll(cells, -1)
-        full = self._table[codes]
-        return full if active.size == cells.size else full[active]
+        full = self._table[ring_codes(system.current[None])[0]]
+        return full if active.size == system.count else full[active]
+
+
+def ring_codes(rings: np.ndarray) -> np.ndarray:
+    """Code ``4*left + 2*centre + right`` of every cell of a (rows, p) array of rings."""
+    # wrapped one cell past both ends, so left, centre and right are three views
+    ring = np.concatenate([rings[:, -1:], rings, rings[:, :1]], axis=1)
+    return 4 * ring[:, :-2] + 2 * ring[:, 1:-1] + ring[:, 2:]
 
 
 def make_automaton(rule, init, current=None) -> core.MetastableSystem:
@@ -76,8 +81,3 @@ def make_automaton(rule, init, current=None) -> core.MetastableSystem:
         fan_in=FAN_IN,
     )
     return core.modulate(structural, operational)
-
-
-def run_rule(rule, init, steps: int) -> np.ndarray:
-    """Trajectory of a rule from an initial state: (steps+1, count) array."""
-    return core.run(make_automaton(rule, init), steps)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import ann, autoprog, ca, core, search
-from .errors import CompileFailed, MetastableError, RunTimeout
+from .errors import CompileFailed, MetastableError, OutOfRange, RunTimeout
 
 SCORE = "%.9f"
 
@@ -31,6 +31,8 @@ def _fail(message: str) -> None:
 
 def _pick_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise OutOfRange("seed must not be negative, got %d" % args.seed)
         return args.seed
     seed = secrets.randbits(32)
     print("seed %d" % seed, file=sys.stderr)

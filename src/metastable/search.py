@@ -79,8 +79,7 @@ def rule_for_attempt(seed: int, index: int) -> int:
 
 def evaluate(rule: int, problem: Problem) -> float:
     """Bind the rule, run the problem's steps, and score the final state."""
-    system = ca.make_automaton(rule, problem.init)
-    final = core.run(system, problem.steps)[-1]
+    final = core.advance(ca.make_automaton(rule, problem.init), problem.steps).current
     return core.match(final, problem.target)
 
 
@@ -102,11 +101,8 @@ def score_table(problem: Problem) -> np.ndarray:
     rules = np.arange(ca.RULE_COUNT, dtype=np.uint8)[:, None]
     cells = np.repeat(system.init.astype(np.uint8)[None, :], ca.RULE_COUNT, axis=0)
     for _ in range(problem.steps):
-        # wrap each ring one cell past both ends, so left, centre and right
-        # are three views; bit ``code`` of rule r is its output for that code
-        ring = np.concatenate([cells[:, -1:], cells, cells[:, :1]], axis=1)
-        codes = 4 * ring[:, :-2] + 2 * ring[:, 1:-1] + ring[:, 2:]
-        cells = (rules >> codes) & 1
+        # bit ``code`` of rule r is its output for that code
+        cells = (rules >> ca.ring_codes(cells)) & 1
     # core.match's mean, row by row: a count of equal cells is exact in
     # float64, so each row's score is the same float as evaluate's.
     return np.mean(cells == target, axis=1)
@@ -126,6 +122,8 @@ def random_search(
     """
     if budget < 1:
         raise OutOfRange("attempt budget must be at least 1, got %d" % budget)
+    if seed < 0:
+        raise OutOfRange("seed must not be negative, got %d" % seed)
     scores = score_table(problem).tolist()
     best_rule = -1
     best_score = -1.0

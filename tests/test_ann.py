@@ -1,17 +1,20 @@
 """Threshold gates, weight quantization, and perceptron-rule training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
-from metastable import ann, ca, core
+from metastable import ann, autoprog, ca, core
 from metastable.errors import (
     BadDimensions,
     DimensionMismatch,
     NonFiniteInput,
     OutOfRange,
+    StateDomainViolation,
     UnsupportedKind,
 )
 
@@ -45,6 +48,53 @@ def test_boundary_inside_a_running_system():
         2, 1, "1", weights=_edge(2, 1, {(1, 0): 0.25}), bias=[0.0, 0.249999999]
     )
     assert core.step(system).current[1] == 0
+
+
+def _order_sensitive_net():
+    """Two units whose gate flips with the order of their input sum.
+
+    All 16 inputs are on. Unit 16 sums 0.5 + 1e16 + 1 - 1e16: 0.0 in
+    ascending order, 0.5 with the bias added last. Unit 17 sums 0.5 + 1e16,
+    fourteen 1s, then -1e16: 0.0 in order, but np.sum's pairwise blocks keep
+    the 1s apart from 1e16 and give 14.0.
+    """
+    weights = np.zeros((32, 32))
+    weights[16, :3] = [1e16, 1.0, -1e16]
+    weights[17, :16] = [1e16] + [1.0] * 14 + [-1e16]
+    bias = np.zeros(32)
+    bias[16:18] = 0.5
+    return ann.make_network(2, 16, "1" * 16, weights=weights, bias=bias)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        pytest.param(
+            "c",
+            marks=pytest.mark.skipif(
+                not autoprog.toolchain_available("c"), reason="no C toolchain"
+            ),
+        ),
+    ],
+)
+def test_gate_sums_in_ascending_order(backend):
+    net = _order_sensitive_net()
+    # the two units do flip under the other orders
+    assert net.update.bias[16] + net.milieu[16, :16] @ net.current[:16] >= 0.5
+    assert np.sum(np.concatenate([[0.5], net.milieu[17, :16]])) >= 0.5
+    for unit in (16, 17):
+        total = net.update.bias[unit]
+        for weight in net.milieu[unit, :16]:
+            total += weight
+        assert total < 0.5
+    assert not core.step(net).current[16:].any()
+    assert not ann.forward(net)[16:].any()
+    doc = autoprog.Document(system=net, steps=1)
+    source = autoprog.generate(doc, backend)
+    toolchain = autoprog.default_toolchain(backend)
+    out = autoprog.compile_and_run(source, toolchain, autoprog.source_suffix(backend))
+    assert out.splitlines()[-1] == "1" * 16 + "0" * 16
 
 
 def _edge(layers, width, entries):
@@ -221,5 +271,44 @@ def test_train_rejects_wrong_inputs():
     system = ann.make_network(2, 2, "10")
     with pytest.raises(DimensionMismatch):
         ann.train(system, "101")
+    with pytest.raises(StateDomainViolation):
+        ann.train(system, np.array([0.5, 1.0]))
     with pytest.raises(UnsupportedKind):
         ann.train(ca.make_automaton(110, "010"), "010")
+
+
+# --- pinned runs -----------------------------------------------------------
+
+
+def _pinned_network():
+    rng = make_rng(21)
+    pattern = rng.integers(0, 2, size=48)
+    target = rng.integers(0, 2, size=48)
+    return ann.make_network(20, 48, pattern, rng=rng), target
+
+
+@pytest.mark.parametrize(
+    "budget, matched, corrections, digest",
+    [
+        (100000, [22, 39, 45, 47, 48], 39, "5f5ec265c467745559e91e07d8eb73b7676b839190b407c5bd8dff951e2b9a1e"),
+        # 26 + 9 corrections, then the third epoch has 3 wrong units and 1 left
+        (36, [22, 39, 45], 36, "4e52aebfef16a77a1cda4686f1cea13a8e3ff1b18d44edc30df73a70b461b7bb"),
+    ],
+)
+def test_training_is_pinned_bit_for_bit(budget, matched, corrections, digest):
+    net, target = _pinned_network()
+    trained, report = ann.train(net, target, ann.TrainingConfig(budget=budget))
+    assert report.history == [m / 48 for m in matched]
+    assert report.corrections == corrections
+    assert report.epochs_run == report.best_epoch == len(matched)
+    assert report.exact == (matched[-1] == 48)
+    data = trained.milieu.tobytes() + trained.update.bias.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_best_epoch_is_the_first_at_the_best_score():
+    system = ann.make_network(2, 3, "101", rng=make_rng(2))
+    _, report = ann.train(system, "010", ann.TrainingConfig(rate=0.0, epochs=3))
+    assert report.epochs_run == 3
+    assert report.best_epoch == 1
+    assert report.final_match == report.best_match == report.history[0]

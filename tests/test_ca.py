@@ -59,7 +59,7 @@ def test_ring_milieu_shape():
 
 
 def test_reference_trajectory_is_reproduced_exactly():
-    rows = ca.run_rule(110, INIT, STEPS)
+    rows = core.run(ca.make_automaton(110, INIT), STEPS)
     assert core.render_state(rows[0]) == INIT
     assert core.render_state(rows[1]) == STEP1
     assert core.render_state(rows[-1]) == TARGET
@@ -69,13 +69,13 @@ def test_identity_rule_keeps_any_state():
     # the table that maps every neighbourhood to its own center is rule 204
     identity = ca.RuleTable(tuple((code >> 1) & 1 for code in range(8)))
     assert identity.number == 204
-    rows = ca.run_rule(204, INIT, 7)
+    rows = core.run(ca.make_automaton(204, INIT), 7)
     for row in rows:
         assert core.render_state(row) == INIT
 
 
 def test_null_rule_clears_everything():
-    rows = ca.run_rule(0, INIT, STEPS)
+    rows = core.run(ca.make_automaton(0, INIT), STEPS)
     assert not rows[1].any()
     assert not rows[-1].any()
     # agreement with the reference target is exactly the target's zero count

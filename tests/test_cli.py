@@ -230,6 +230,21 @@ def test_ann_train_goal_can_be_relaxed(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ca-search", "--init", INIT, "--target", TARGET, "--steps", str(STEPS), "--seed", "-1"],
+        ["ann-train", "--layers", "3", "--width", "4", "--init", "1010", "--target", "0110",
+         "--seed", "-5"],
+    ],
+)
+def test_negative_seeds_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: seed must not be negative, got %s" % argv[-1]]
+
+
 # --- codegen / verify / demodulate ---------------------------------------------
 
 

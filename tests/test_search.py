@@ -72,6 +72,11 @@ def test_random_search_respects_the_budget(reference_problem):
         search.random_search(reference_problem, budget=0, seed=1)
 
 
+def test_random_search_rejects_negative_seeds(reference_problem):
+    with pytest.raises(OutOfRange):
+        search.random_search(reference_problem, budget=5, seed=-1)
+
+
 def test_exhaustive_search_pins_the_solution_set(reference_problem):
     assert search.exhaustive_search(reference_problem) == [110]
 
