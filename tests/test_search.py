@@ -1,5 +1,7 @@
 """Random and exhaustive rule search, with pinned reproducibility facts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,13 @@ from metastable import core, search
 from metastable.errors import DimensionMismatch, OutOfRange, StateDomainViolation, TooFewEntities
 
 ZEROS = "0" * 31
+# seeds one, two, three, four and seven 32-bit words wide
+WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 1, 2**100 + 3, 2**200 + 7]
+# the first 32 rules drawn under seed 2019, taken with numpy 2.4.6
+PINNED_2019 = [
+    111, 11, 69, 85, 67, 84, 172, 154, 160, 251, 75, 110, 33, 155, 197, 238,
+    173, 210, 198, 125, 120, 241, 143, 10, 59, 4, 68, 187, 50, 100, 200, 240,
+]
 
 
 def test_problem_validation():
@@ -29,8 +38,49 @@ def test_attempt_draws_are_independent_of_evaluation_order():
     assert forward == list(reversed(backward))
 
 
+def test_attempt_draws_reject_negative_seeds_and_indices():
+    with pytest.raises(OutOfRange):
+        search.rule_for_attempt(-1, 0)
+    with pytest.raises(OutOfRange):
+        search.rule_for_attempt(0, -1)
+    with pytest.raises(OutOfRange):
+        search.rules_for_attempts(-1, 0, 5)
+    with pytest.raises(OutOfRange):
+        search.rules_for_attempts(0, -1, 5)
+    with pytest.raises(OutOfRange):
+        search.rules_for_attempts(0, 5, 4)
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS, ids=["0", "1", "2^32-1", "2^32+5", "2^64+1", "2^100+3", "2^200+7"])
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, 300), (0, 1), (137, 400), (2**32 - 40, 2**32 + 40), (2**64 - 3, 2**64 + 3), (9, 9)],
+    ids=["from-0", "one", "mid-stream", "across-2^32", "across-2^64", "empty"],
+)
+def test_batched_draws_equal_the_per_attempt_draws(seed, start, stop):
+    reference = [search.rule_for_attempt(seed, k) for k in range(start, stop)]
+    assert search.rules_for_attempts(seed, start, stop) == reference
+
+
+def test_batched_draws_agree_across_array_passes():
+    # a range longer than one array pass is cut into passes
+    whole = search.rules_for_attempts(1, 0, 2**14 + 50)
+    edge = [search.rule_for_attempt(1, k) for k in range(2**14 - 50, 2**14 + 50)]
+    assert whole[-100:] == edge
+    assert search.rules_for_attempts(1, 2**14 - 50, 2**14 + 50) == edge
+
+
+def test_the_draw_stream_is_pinned_across_numpy_versions():
+    message = (
+        "numpy %s draws a different stream: NEP 19 lets Generator.integers change between "
+        "versions, and every seeded search's attempts would change with it" % np.__version__
+    )
+    assert [search.rule_for_attempt(2019, k) for k in range(32)] == PINNED_2019, message
+    assert search.rules_for_attempts(2019, 0, 32) == PINNED_2019, message
+
+
 def test_attempt_draws_cover_the_rule_space_uniformly():
-    draws = np.array([search.rule_for_attempt(12345, k) for k in range(51200)])
+    draws = np.array(search.rules_for_attempts(12345, 0, 51200))
     counts = np.bincount(draws, minlength=256)
     expected = 51200 / 256
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -70,6 +120,40 @@ def test_random_search_respects_the_budget(reference_problem):
     assert report.best_score < 1.0
     with pytest.raises(OutOfRange):
         search.random_search(reference_problem, budget=0, seed=1)
+
+
+def _first_seed_new_at(attempt: int) -> tuple[int, list[int]]:
+    """The first seed whose rule at ``attempt`` (1-based) was not drawn
+    before it, with its first ``attempt`` rules."""
+    for seed in itertools.count():
+        draws = [search.rule_for_attempt(seed, k) for k in range(attempt)]
+        if draws[-1] not in draws[:-1]:
+            return seed, draws
+
+
+@pytest.mark.parametrize("hit", [1, 64, 65, 192])
+def test_random_search_logs_the_per_attempt_draws_across_chunks(monkeypatch, reference_problem, hit):
+    # the draws come in chunks of 64, 128, ...; a table that only the rule
+    # drawn at ``hit`` solves makes the search stop exactly there
+    seed, draws = _first_seed_new_at(hit)
+    table = np.arange(256) / 512
+    table[draws[-1]] = 1.0
+    monkeypatch.setattr(search, "score_table", lambda problem: table)
+    log = []
+    report = search.random_search(reference_problem, budget=5000, seed=seed, log=log.append)
+    assert log == [search.Attempt(index=k + 1, rule=r, score=table[r]) for k, r in enumerate(draws)]
+    assert report == search.SearchReport(solution=draws[-1], attempts=hit, best_rule=draws[-1], best_score=1.0)
+
+
+@pytest.mark.parametrize("budget", [64, 200])
+def test_random_search_ends_on_its_budget_across_chunks(monkeypatch, reference_problem, budget):
+    table = np.arange(256) / 512  # no rule solves; rule r scores r/512
+    monkeypatch.setattr(search, "score_table", lambda problem: table)
+    log = []
+    report = search.random_search(reference_problem, budget=budget, seed=5, log=log.append)
+    draws = [search.rule_for_attempt(5, k) for k in range(budget)]
+    assert log == [search.Attempt(index=k + 1, rule=r, score=table[r]) for k, r in enumerate(draws)]
+    assert report == search.SearchReport(solution=None, attempts=budget, best_rule=max(draws), best_score=max(draws) / 512)
 
 
 def test_random_search_rejects_negative_seeds(reference_problem):
