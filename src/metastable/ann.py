@@ -16,7 +16,6 @@ import numpy as np
 
 from . import core
 from .errors import (
-    BadDimensions,
     DimensionMismatch,
     NonFiniteInput,
     OutOfRange,
@@ -65,7 +64,8 @@ class ThresholdGate:
         # is sequential where np.sum would pair terms up
         terms = np.empty((active.size, width + 1))
         terms[:, 0] = self.bias[active]
-        np.multiply(system.milieu[active, prev], system.current[prev], out=terms[:, 1:])
+        # block l-1 holds the weights into layer l, and ``active`` is that layer in order
+        np.multiply(system.wiring[prev.stop // width - 1], system.current[prev], out=terms[:, 1:])
         return (np.add.accumulate(terms, axis=1)[:, -1] >= THRESHOLD).astype(np.int64)
 
 
@@ -76,10 +76,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     biases are taken as given, or drawn uniformly from [-1, 1) with ``rng``
     (layer by layer, weights before bias), or left at zero.
     """
-    if layers < 2:
-        raise BadDimensions("need at least 2 layers, got %d" % layers)
-    if width < 1:
-        raise BadDimensions("need width of at least 1, got %d" % width)
+    schedule = core.LayeredSweep(layers=layers, width=width)  # checks both counts
     count = layers * width
     pattern_vec = core.parse_state_string(pattern) if isinstance(pattern, str) else np.asarray(pattern)
     if pattern_vec.size != width:
@@ -89,7 +86,6 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     init = np.zeros(count, dtype=np.int64)
     init[:width] = pattern_vec
 
-    schedule = core.LayeredSweep(layers=layers, width=width)
     if weights is None and bias is None and rng is not None:
         weights = np.zeros((count, count), dtype=np.float64)
         bias = np.zeros(count, dtype=np.float64)
@@ -177,8 +173,8 @@ def train(system: core.MetastableSystem, target, config: TrainingConfig | None =
     if not np.isin(target_vec, core.BINARY).all():
         raise StateDomainViolation("target contains values outside %s" % (core.BINARY,))
 
-    weights, gate = system.milieu.copy(), ThresholdGate(bias=system.update.bias)
-    trained = dataclasses.replace(system, milieu=weights, update=gate)
+    weights, gate = system.wiring.copy(), ThresholdGate(bias=system.update.bias)
+    trained = dataclasses.replace(system, wiring=weights, update=gate)
     out_rows = schedule.slice_of(schedule.layers - 1)
     prev_rows = schedule.slice_of(schedule.layers - 2)
 
@@ -196,7 +192,7 @@ def train(system: core.MetastableSystem, target, config: TrainingConfig | None =
         g = out_rows.start + fixed
         delta = config.rate * (target_vec[fixed] - output[fixed]).astype(np.float64)
         gate.bias[g] = quantize(gate.bias[g] + delta)
-        weights[g, prev_rows] = quantize(weights[g, prev_rows] + delta[:, None] * state[prev_rows])
+        weights[-1, fixed] = quantize(weights[-1, fixed] + delta[:, None] * state[prev_rows])
         corrections += fixed.size
         if fixed.size < wrong.size:
             break

@@ -115,6 +115,14 @@ def _scalar(reader: _Reader, key: str, count: int = 1) -> list[str]:
     return tokens[1:]
 
 
+def _count(reader: _Reader, key: str, what: str) -> int:
+    """The integer on a '<key> <count>' line."""
+    number, tokens = reader.take("'%s' line" % key)
+    if tokens[0] != key or len(tokens) != 2:
+        raise ParseError("expected '%s <count>'" % key, number)
+    return _int(tokens[1], what, number)
+
+
 def _int(text: str, what: str, number: int) -> int:
     try:
         return int(text)
@@ -193,10 +201,7 @@ def parse(text: str) -> Document:
     if kind not in ("ca", "ann"):
         raise SemanticError("kind must be ca or ann, got '%s'" % kind)
 
-    number, tokens = reader.take("'p' line")
-    if tokens[0] != "p" or len(tokens) != 2:
-        raise ParseError("expected 'p <count>'", number)
-    p = _int(tokens[1], "entity count", number)
+    p = _count(reader, "p", "entity count")
     if p < 1:
         raise SemanticError("entity count must be positive, got %d" % p)
 
@@ -239,14 +244,8 @@ def parse(text: str) -> Document:
         update: core.UpdateFunction = ca.RuleTable(bits)
         fan_in = ca.FAN_IN
     else:
-        number, tokens = reader.take("'layers' line")
-        if tokens[0] != "layers" or len(tokens) != 2:
-            raise ParseError("expected 'layers <count>'", number)
-        layers = _int(tokens[1], "layer count", number)
-        number, tokens = reader.take("'width' line")
-        if tokens[0] != "width" or len(tokens) != 2:
-            raise ParseError("expected 'width <count>'", number)
-        width = _int(tokens[1], "layer width", number)
+        layers = _count(reader, "layers", "layer count")
+        width = _count(reader, "width", "layer width")
         if not isinstance(schedule, core.LayeredSweep) or (layers, width) != (
             schedule.layers,
             schedule.width,
@@ -279,10 +278,7 @@ def parse(text: str) -> Document:
     (init_text,) = _scalar(reader, "init")
     init = _state_vector(init_text, p, "init")
 
-    number, tokens = reader.take("'steps' line")
-    if tokens[0] != "steps" or len(tokens) != 2:
-        raise ParseError("expected 'steps <count>'", number)
-    steps = _int(tokens[1], "step count", number)
+    steps = _count(reader, "steps", "step count")
     if steps < 0:
         raise SemanticError("step count must not be negative, got %d" % steps)
 
@@ -298,7 +294,8 @@ def parse(text: str) -> Document:
         raise ParseError("unexpected content after the document", item[0])
 
     # init has p cells, so p is no larger than the document: build the arrays
-    milieu = np.zeros((p, p), dtype=np.float64 if kind == "ann" else np.int64)
+    # a ring's entries are all 1, so a byte each holds them
+    milieu = np.zeros((p, p), dtype=np.float64 if kind == "ann" else np.uint8)
     for i, j, w in entries:
         milieu[i, j] = w
     if kind == "ann":
@@ -332,17 +329,15 @@ def emit(doc: Document) -> str:
     else:
         lines.append("schedule layered %d %d" % (schedule.layers, schedule.width))
     lines.append("milieu:")
+    row_start, col_index, col_weight = _csr(system)
     for i in range(system.count):
-        cols = np.flatnonzero(system.milieu[i])
-        if cols.size == 0:
-            continue
+        lo, hi = row_start[i], row_start[i + 1]
         if system.kind == "ca":
-            entries = " ".join(str(int(j)) for j in cols)
+            entries = " ".join(map(str, sorted(col_index[lo:hi])))
         else:
-            entries = " ".join(
-                "%d=%s" % (int(j), format_weight(system.milieu[i, j])) for j in cols
-            )
-        lines.append("row %d: %s" % (i, entries))
+            entries = " ".join("%d=%s" % (j, format_weight(w)) for j, w in zip(col_index[lo:hi], col_weight[lo:hi]))
+        if entries:
+            lines.append("row %d: %s" % (i, entries))
     lines.append("update:")
     if system.kind == "ca":
         lines.append("table %s" % " ".join(str(b) for b in system.update.bits))
@@ -386,18 +381,22 @@ def _wrap(values: list[str], per_line: int) -> str:
 def _csr(system: core.MetastableSystem) -> tuple[list[int], list[int], list[float]]:
     """The milieu row by row: entity u reads entries row_start[u] .. row_start[u+1].
 
-    A ring row lists its columns in code order, i-1, i, i+1 (wrapping), so
-    folding the row as code = 2*code + state gives the code 4l+2c+r. A net
-    row lists them in ascending order, the order in which the interpreter sums.
+    A ring row lists its columns (weights 1, not listed) in code order, i-1, i,
+    i+1 (wrapping), so folding it as code = 2*code + state gives 4l+2c+r. A net
+    row lists its nonzero weights in ascending order, the order the interpreter sums.
     """
     p = system.count
     if system.kind == "ca":
         rows = np.repeat(np.arange(p), 3)
         cols = core.ring_columns(p).ravel()
+        weights = []
     else:
-        rows, cols = np.nonzero(system.milieu)
+        width = system.schedule.width
+        block, row, col = np.nonzero(system.wiring)
+        rows, cols = (block + 1) * width + row, block * width + col
+        weights = system.wiring[block, row, col].tolist()
     row_start = np.searchsorted(rows, np.arange(p + 1))
-    return row_start.tolist(), cols.tolist(), system.milieu[rows, cols].tolist()
+    return row_start.tolist(), cols.tolist(), weights
 
 
 # The body of value(u) for each kind and backend: fold u's row into the

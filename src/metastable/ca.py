@@ -65,9 +65,8 @@ def make_automaton(rule, init, current=None) -> core.MetastableSystem:
     table = rule if isinstance(rule, RuleTable) else RuleTable.from_number(rule)
     init_vec = core.parse_state_string(init) if isinstance(init, str) else np.asarray(init)
     if current is None:
-        current_vec = init_vec.copy()
-    else:
-        current_vec = core.parse_state_string(current) if isinstance(current, str) else np.asarray(current)
+        current = init_vec  # modulate copies both vectors
+    current_vec = core.parse_state_string(current) if isinstance(current, str) else np.asarray(current)
     structural = core.Structural(
         count=int(init_vec.size),
         states=core.BINARY,

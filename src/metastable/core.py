@@ -7,8 +7,9 @@ milieu matrix wiring entities together, the schedule choosing who fires at
 each step, and the update function's fan-in.
 
 ``modulate`` binds the two halves into a runnable ``MetastableSystem`` after
-checking every cross-field invariant, and ``demodulate`` splits a bound
-system back into fresh copies of the halves. ``modulate(*demodulate(s)) == s``
+checking every cross-field invariant; the system keeps only its ``wiring``,
+the milieu in the form its kind steps through. ``demodulate`` splits it back
+into fresh copies of the halves. ``modulate(*demodulate(s)) == s``
 holds for every bound system. ``step`` and ``run`` drive a bound system
 forward in time.
 """
@@ -16,7 +17,6 @@ forward in time.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -130,12 +130,16 @@ class Operational:
 
 @dataclasses.dataclass
 class MetastableSystem:
-    """A bound, runnable system: both halves checked against each other."""
+    """A bound, runnable system: both halves checked against each other.
+
+    ``wiring`` is None for a ring (its neighbours are ``ring_columns(count)``)
+    and a net's (layers-1, width, width) weights, block l-1 running from layer
+    l-1 into layer l. ``milieu`` rebuilds the dense form."""
 
     kind: str
     states: tuple[int, ...]
     update: UpdateFunction
-    milieu: np.ndarray
+    wiring: np.ndarray | None
     schedule: Schedule
     init: np.ndarray
     current: np.ndarray
@@ -146,6 +150,16 @@ class MetastableSystem:
     @property
     def count(self) -> int:
         return int(self.init.size)
+
+    @property
+    def milieu(self) -> np.ndarray:
+        """The dense (count, count) milieu, built afresh on every access."""
+        if self.wiring is None:
+            return ring_milieu(self.count)
+        dense, schedule = np.zeros((self.count, self.count)), self.schedule
+        for layer in range(1, schedule.layers):
+            dense[schedule.slice_of(layer), schedule.slice_of(layer - 1)] = self.wiring[layer - 1]
+        return dense
 
 
 def parse_state_string(text: str) -> np.ndarray:
@@ -175,7 +189,7 @@ def match(a, b) -> float:
 
 
 def _binary(vec: np.ndarray) -> bool:
-    return bool(((vec == 0) | (vec == 1)).all())
+    return not np.count_nonzero((vec != 0) & (vec != 1))
 
 
 def _check_states(name: str, vec: np.ndarray, count: int, states: tuple[int, ...]):
@@ -185,14 +199,23 @@ def _check_states(name: str, vec: np.ndarray, count: int, states: tuple[int, ...
         raise StateDomainViolation("%s contains values outside %s" % (name, states))
 
 
+def _ring_entries(flat: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """Views of the 3*count ring entries of a flattened (count, count) array,
+    count >= 3: three diagonals and the corners (0, count-1), (count-1, 0)."""
+    step = count + 1
+    return flat[::step], flat[1::step], flat[count::step], flat[count - 1 :: (count - 1) ** 2]
+
+
 def _check_ring(milieu: np.ndarray, count: int):
     if count < 3:
         raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
-    if not np.array_equal(milieu, _ring_cached(count)):
+    flat = milieu.reshape(-1)
+    ring = np.concatenate(_ring_entries(flat, count))
+    if np.count_nonzero(flat) != 3 * count or np.count_nonzero(ring != 1):
         raise UnsupportedKind("milieu is not the 0/1 ring each cell needs")
 
 
-def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep, count: int):
+def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep, count: int) -> np.ndarray:
     if schedule.layers * schedule.width != count:
         raise BadDimensions(
             "%d layers of width %d need %d entities, got %d"
@@ -202,19 +225,24 @@ def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep,
         raise DimensionMismatch("bias has shape %s, expected (%d,)" % (bias.shape, count))
     if not np.isfinite(bias).all():
         raise NonFiniteInput("bias contains non-finite values")
-    if not np.isfinite(milieu).all():
-        raise NonFiniteInput("milieu contains non-finite values")
-    w = schedule.width
-    if bias[:w].any():
+    blocks = np.empty((schedule.layers - 1, schedule.width, schedule.width))
+    nonzero = 0
+    # Weights live on a 9-decimal grid so the text form is lossless; one
+    # layer's rows are rounded at a time, so no (count, count) float is made.
+    for layer in range(schedule.layers):
+        rows = milieu[schedule.slice_of(layer)].astype(np.float64)
+        np.round(rows, WEIGHT_DECIMALS, out=rows)
+        if not np.isfinite(rows).all():
+            raise NonFiniteInput("milieu contains non-finite values")
+        nonzero += np.count_nonzero(rows)
+        if layer:
+            blocks[layer - 1] = rows[:, schedule.slice_of(layer - 1)]
+    if bias[: schedule.width].any():
         raise UnsupportedKind("input-layer entities cannot carry a bias")
-    # Edges may only run from layer l-1 into layer l: every nonzero weight
-    # lies in one of those (disjoint) blocks.
-    in_blocks = sum(
-        np.count_nonzero(milieu[schedule.slice_of(layer), schedule.slice_of(layer - 1)])
-        for layer in range(1, schedule.layers)
-    )
-    if np.count_nonzero(milieu) != in_blocks:
+    # edges may only run from layer l-1 into layer l, the blocks
+    if nonzero != np.count_nonzero(blocks):
         raise UnsupportedKind("weights must connect consecutive layers only")
+    return blocks
 
 
 def ring_columns(count: int) -> np.ndarray:
@@ -223,19 +251,14 @@ def ring_columns(count: int) -> np.ndarray:
     return np.stack([(cells - 1) % count, cells, (cells + 1) % count], axis=1)
 
 
-@functools.lru_cache(maxsize=64)
-def _ring_cached(count: int) -> np.ndarray:
-    m = np.zeros((count, count), dtype=np.int64)
-    np.put_along_axis(m, ring_columns(count), 1, axis=1)
-    m.setflags(write=False)
-    return m
-
-
 def ring_milieu(count: int) -> np.ndarray:
     """Adjacency of a ring: row i is nonzero at i-1, i, i+1 (wrapping)."""
     if count < 3:
         raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
-    return _ring_cached(count).copy()
+    milieu = np.zeros((count, count), dtype=np.int64)
+    for entries in _ring_entries(milieu.reshape(-1), count):
+        entries[...] = 1
+    return milieu
 
 
 def modulate(structural: Structural, operational: Operational) -> MetastableSystem:
@@ -251,7 +274,6 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
     _check_states("init", init, count, BINARY)
     _check_states("current", current, count, BINARY)
 
-    # each kind's astype below copies, so the bound system never shares this array
     milieu = np.asarray(operational.milieu)
     if milieu.shape != (count, count):
         raise DimensionMismatch(
@@ -265,15 +287,12 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
         if not isinstance(schedule, Synchronous):
             raise UnsupportedKind("cell populations update synchronously")
         _check_ring(milieu, count)
-        milieu = milieu.astype(np.int64)
+        wiring = None
         expected_fan_in = 3
     elif kind == "ann":
         if not isinstance(schedule, LayeredSweep):
             raise UnsupportedKind("perceptron populations update one layer per step")
-        # Weights live on a 9-decimal grid so the text form is lossless.
-        milieu = milieu.astype(np.float64)
-        np.round(milieu, WEIGHT_DECIMALS, out=milieu)
-        _check_layered(milieu, update.bias, schedule, count)
+        wiring = _check_layered(milieu, update.bias, schedule, count)
         expected_fan_in = schedule.width + 1
     else:
         raise UnsupportedKind("unknown system kind %r" % kind)
@@ -288,7 +307,7 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
         kind=kind,
         states=BINARY,
         update=update,
-        milieu=milieu,
+        wiring=wiring,
         schedule=schedule,
         init=init,
         current=current,
@@ -306,7 +325,7 @@ def demodulate(system: MetastableSystem) -> tuple[Structural, Operational]:
     )
     operational = Operational(
         update=system.update,
-        milieu=system.milieu.copy(),
+        milieu=system.milieu,
         schedule=system.schedule,
         fan_in=system.fan_in,
     )

@@ -268,6 +268,24 @@ def test_parse_sizes_nothing_by_an_unchecked_p():
         autoprog.parse(_swap(text, "p 1000000", "p 99999999999"))
 
 
+def test_a_ring_that_fails_to_bind_leaves_nothing_behind():
+    # 3,104 bytes whose init matches p 3000 but whose milieu has no rows: the
+    # p×p input is one byte a cell and the check builds no second p×p array
+    text = _swap(autoprog.emit(ca_document(init="010")), "init 010", "init " + "0" * 3000)
+    text = _swap(text, "p 3", "p 3000")
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("row ")) + "\n"
+    assert len(text) == 3104
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedKind):
+            autoprog.parse(text)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert left < 1 << 20
+
+
 MUTATION_BASES = {
     "ca": autoprog.emit(ca_document(target="0110110")),
     "ann": autoprog.emit(ann_document(target="101")),

@@ -1,6 +1,7 @@
 """Binding, partitioning, schedules, and the generic step loop."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,40 @@ def test_ann_partition_round_trip(seed, layers, width):
     assert rebound == system
 
 
+def test_milieu_is_a_fresh_dense_copy_of_the_stored_wiring():
+    ring = ca.make_automaton(110, "01011")
+    net = ann.make_network(3, 2, "10", rng=make_rng(3))
+    assert ring.wiring is None and net.wiring.shape == (2, 2, 2)
+    for system, dtype in ((ring, np.int64), (net, np.float64)):
+        first, second = system.milieu, system.milieu
+        assert first.dtype == dtype and first.shape == (system.count, system.count)
+        assert first is not second and np.array_equal(first, second)
+        assert first.flags.writeable
+        first[:] = 7
+        assert np.array_equal(system.milieu, second)
+        assert core.modulate(*core.demodulate(system)) == system
+    assert np.array_equal(net.milieu[2:4, 0:2], net.wiring[0])
+    assert np.array_equal(net.milieu[4:6, 2:4], net.wiring[1])
+
+
+def test_binding_a_wide_net_makes_no_count_by_count_array():
+    # 40 layers of 100: the dense input is 128 MB, the stored weights 3.1 MB
+    net = ann.make_network(40, 100, make_rng(5).integers(0, 2, size=100), rng=make_rng(6))
+    structural, operational = core.demodulate(net)
+    tracemalloc.start()
+    try:
+        rebound = core.modulate(structural, operational)
+        bind_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ann.train(rebound, "01" * 50, ann.TrainingConfig(epochs=2))
+        train_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rebound == net
+    assert bind_peak < 16 << 20
+    assert train_peak < 16 << 20
+
+
 def test_demodulate_returns_independent_copies():
     system = ca.make_automaton(110, "010")
     structural, operational = core.demodulate(system)
@@ -240,6 +275,12 @@ def test_modulate_rejects_non_finite_weights():
     operational.milieu[2, 0] = np.inf
     with pytest.raises(NonFiniteInput):
         core.modulate(structural, operational)
+    # off the layer blocks, a non-finite weight is still non-finite first
+    for bad in (np.nan, np.inf, -np.inf):
+        operational.milieu = system.milieu
+        operational.milieu[4, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            core.modulate(structural, operational)
 
 
 def test_modulate_quantizes_weights_to_the_text_grid():
@@ -248,6 +289,11 @@ def test_modulate_quantizes_weights_to_the_text_grid():
     operational.milieu[2, 0] = 0.1234567894
     rebound = core.modulate(structural, operational)
     assert rebound.milieu[2, 0] == 0.123456789
+    # a weight off the layer blocks that rounds to 0 is dropped, not rejected
+    system = ann.make_network(3, 2, "10", rng=make_rng(2))
+    structural, operational = core.demodulate(system)
+    operational.milieu[4, 0] = 1e-12
+    assert core.modulate(structural, operational) == system
 
 
 # --- step / run ------------------------------------------------------------
