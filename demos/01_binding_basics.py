@@ -2,9 +2,10 @@
 
 A runnable system is a pair: a structural half (how many entities, what
 states they may take, where they start) and an operational half (the update
-function, the interaction weights, the schedule). `modulate` binds the two
-into something you can run; `demodulate` splits a running system back into
-the same two halves.
+function, the wiring between entities, the schedule). A ring's wiring is
+None: each cell reads itself and its two neighbours, so there is nothing to
+spell out. `modulate` binds the two into something you can run;
+`demodulate` splits a running system back into the same two halves.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ def main():
     )
     operational = core.Operational(
         update=ca.RuleTable.from_number(90),
-        milieu=core.ring_milieu(13),
+        wiring=None,  # the ring's neighbours are core.ring_columns(13)
         schedule=core.Synchronous(),
         fan_in=ca.FAN_IN,
     )

@@ -72,9 +72,11 @@ class ThresholdGate:
 def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, rng=None) -> core.MetastableSystem:
     """Bind a layered perceptron system around an input pattern.
 
-    ``pattern`` fills row 0; every other entity starts at 0. Weights and
-    biases are taken as given, or drawn uniformly from [-1, 1) with ``rng``
-    (layer by layer, weights before bias), or left at zero.
+    ``pattern`` fills row 0; every other entity starts at 0. ``weights`` are
+    the (layers-1, width, width) blocks, block l-1 running from layer l-1
+    into layer l. Weights and biases are taken as given, or drawn uniformly
+    from [-1, 1) with ``rng`` (layer by layer, weights before bias), or left
+    at zero.
     """
     schedule = core.LayeredSweep(layers=layers, width=width)  # checks both counts
     count = layers * width
@@ -83,19 +85,17 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
         raise DimensionMismatch(
             "input pattern has %d entries, expected width %d" % (pattern_vec.size, width)
         )
-    init = np.zeros(count, dtype=np.int64)
+    # the pattern keeps its dtype, so modulate sees a fractional entry before casting
+    init = np.zeros(count, dtype=np.result_type(pattern_vec, np.int64))
     init[:width] = pattern_vec
 
     if weights is None and bias is None and rng is not None:
-        weights = np.zeros((count, count), dtype=np.float64)
-        bias = np.zeros(count, dtype=np.float64)
-        for layer in range(1, layers):
-            rows = schedule.slice_of(layer)
-            cols = schedule.slice_of(layer - 1)
-            weights[rows, cols] = rng.uniform(-1.0, 1.0, size=(width, width))
-            bias[rows] = rng.uniform(-1.0, 1.0, size=width)
+        # one stream of draws: each layer's weight block, then its bias row
+        draws = rng.uniform(-1.0, 1.0, size=(layers - 1, width + 1, width))
+        weights = draws[:, :width]
+        bias = np.concatenate([np.zeros(width), draws[:, width].ravel()])
     if weights is None:
-        weights = np.zeros((count, count), dtype=np.float64)
+        weights = np.zeros((layers - 1, width, width))
     if bias is None:
         bias = np.zeros(count, dtype=np.float64)
 
@@ -103,7 +103,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     # modulate and ThresholdGate put weights and bias on the text form's grid
     operational = core.Operational(
         update=ThresholdGate(bias=bias),
-        milieu=weights,
+        wiring=weights,
         schedule=schedule,
         fan_in=width + 1,
     )

@@ -12,7 +12,9 @@ route computes, bit for bit.
 Malformed text raises ``ParseError`` with a line number. Text that parses but
 describes something invalid (an index out of range, a bad state character)
 raises ``SemanticError``. Documents whose milieu or schedule break a system
-invariant raise the same typed errors as direct construction does.
+invariant raise the same typed errors as direct construction does; a ring
+whose rows are not its ring, or a net weight off its layer blocks that does
+not round to 0, raises ``UnsupportedKind``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from array import array
 
 import numpy as np
 
@@ -37,11 +40,13 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     NoBackendConfigured,
+    NonFiniteInput,
     OutOfRange,
     ParseError,
     RunTimeout,
     SemanticError,
     StateDomainViolation,
+    UnsupportedKind,
 )
 
 BACKENDS = ("c", "python")
@@ -150,15 +155,15 @@ def _state_vector(text: str, expected: int, what: str) -> np.ndarray:
     return vec
 
 
-def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> list[tuple[int, int, float]]:
-    """The milieu's ``(row, col, value)`` entries; p-sized arrays wait until
-    the init line has shown that p is real."""
-    entries: list[tuple[int, int, float]] = []
+def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array, array]:
+    """The milieu's entries as packed row, column and weight arrays; p-sized
+    arrays wait until the init line has shown that p is real."""
+    rows, cols, weights = array("q"), array("q"), array("d")
     last_row = -1
     while True:
         item = reader.peek()
         if item is None or item[1][0] != "row":
-            return entries
+            return rows, cols, weights
         number, tokens = reader.take("milieu row")
         if len(tokens) < 2 or not tokens[1].endswith(":"):
             raise ParseError("milieu rows look like 'row <i>: <entries>'", number)
@@ -178,13 +183,15 @@ def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> list[tuple[int, in
                 w = _float(w_text, "weight", number)
             else:
                 j = _int(entry, "column index", number)
-                w = 1
+                w = 1.0
             if not 0 <= j < p:
                 raise SemanticError("column index %d out of range for %d entities" % (j, p))
             if j in seen:
                 raise SemanticError("column %d repeats in row %d" % (j, i))
             seen.add(j)
-            entries.append((i, j, w))
+            rows.append(i)
+            cols.append(j)
+            weights.append(w)
 
 
 def parse(text: str) -> Document:
@@ -226,7 +233,7 @@ def parse(text: str) -> Document:
     number, tokens = reader.take("'milieu:' header")
     if tokens != ["milieu:"]:
         raise ParseError("expected 'milieu:' section header", number)
-    entries = _parse_milieu(reader, p, weighted=(kind == "ann"))
+    rows, cols, weights = _parse_milieu(reader, p, weighted=(kind == "ann"))
 
     number, tokens = reader.take("'update:' header")
     if tokens != ["update:"]:
@@ -294,19 +301,35 @@ def parse(text: str) -> Document:
         raise ParseError("unexpected content after the document", item[0])
 
     # init has p cells, so p is no larger than the document: build the arrays
-    # a ring's entries are all 1, so a byte each holds them
-    milieu = np.zeros((p, p), dtype=np.float64 if kind == "ann" else np.uint8)
-    for i, j, w in entries:
-        milieu[i, j] = w
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    wiring = None
     if kind == "ann":
+        # block l-1 holds the weights from layer l-1 into layer l; any other
+        # entry must round to 0 on the weight grid, and is then dropped. When
+        # the layers do not make p, nothing is placed: modulate raises BadDimensions.
+        layer, weights = rows // width, np.array(weights)
+        inside = (layer == cols // width + 1) & (layers * width == p)
+        wiring = np.zeros((layers - 1, width, width))
+        wiring[layer[inside] - 1, rows[inside] % width, cols[inside] % width] = weights[inside]
+        stray = ann.quantize(weights[~inside])
         bias = np.zeros(p, dtype=np.float64)
         for i, w in biases:
             bias[i] = w
         update = ann.ThresholdGate(bias=bias)
 
     structural = core.Structural(count=p, states=core.BINARY, init=init, current=init.copy())
-    operational = core.Operational(update=update, milieu=milieu, schedule=schedule, fan_in=fan_in)
-    return Document(system=core.modulate(structural, operational), steps=steps, target=target)
+    operational = core.Operational(update=update, wiring=wiring, schedule=schedule, fan_in=fan_in)
+    system = core.modulate(structural, operational)  # a ring has at least 3 cells past here
+    if kind == "ca":
+        # the whole ring at once: every entry as row*p + col, in ascending order
+        ring = np.arange(p)[:, None] * p + core.ring_columns(p)
+        if not np.array_equal(np.sort(rows * p + cols), np.sort(ring, axis=None)):
+            raise UnsupportedKind("milieu is not the ring each cell needs")
+    elif not np.isfinite(stray).all():
+        raise NonFiniteInput("milieu contains non-finite values")
+    elif stray.any():
+        raise UnsupportedKind("weights must connect consecutive layers only")
+    return Document(system=system, steps=steps, target=target)
 
 
 # --- emission --------------------------------------------------------------
@@ -591,7 +614,8 @@ def default_toolchain(backend: str) -> ToolchainConfig:
     if backend == "c":
         return ToolchainConfig(command=DEFAULT_C_COMMAND)
     if backend == "python":
-        return ToolchainConfig(command=shlex.quote(sys.executable) + " {src}")
+        # generated programs use only builtins, so skip the site module's start-up
+        return ToolchainConfig(command=shlex.quote(sys.executable) + " -S {src}")
     raise NoBackendConfigured("unknown backend '%s'" % backend)
 
 

@@ -75,7 +75,7 @@ def make_automaton(rule, init, current=None) -> core.MetastableSystem:
     )
     operational = core.Operational(
         update=table,
-        milieu=core.ring_milieu(int(init_vec.size)),
+        wiring=None,
         schedule=core.Synchronous(),
         fan_in=FAN_IN,
     )

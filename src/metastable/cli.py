@@ -138,7 +138,8 @@ def _cmd_demodulate(args) -> int:
         print("operational update table %s" % " ".join(str(b) for b in operational.update.bits))
     else:
         print("operational update threshold")
-    print("operational milieu nonzeros %d" % int(np.count_nonzero(operational.milieu)))
+    wiring = operational.wiring  # None for a ring, whose cells read three each
+    print("operational milieu nonzeros %d" % (3 * structural.count if wiring is None else np.count_nonzero(wiring)))
     return 0
 
 

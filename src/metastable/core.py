@@ -3,12 +3,14 @@
 A system description has two halves. The structural half says what the
 population is: entity count, state alphabet, initial and current state
 vectors. The operational half says how it evolves: the update function, the
-milieu matrix wiring entities together, the schedule choosing who fires at
-each step, and the update function's fan-in.
+milieu wiring entities together, the schedule choosing who fires at each
+step, and the update function's fan-in. The milieu travels as ``wiring``,
+in the form its kind steps through: ``None`` for a ring, whose neighbours
+are ``ring_columns(count)``, and a net's (layers-1, width, width) weight
+blocks, block l-1 running from layer l-1 into layer l.
 
 ``modulate`` binds the two halves into a runnable ``MetastableSystem`` after
-checking every cross-field invariant; the system keeps only its ``wiring``,
-the milieu in the form its kind steps through. ``demodulate`` splits it back
+checking every cross-field invariant. ``demodulate`` splits it back
 into fresh copies of the halves. ``modulate(*demodulate(s)) == s``
 holds for every bound system. ``step`` and ``run`` drive a bound system
 forward in time.
@@ -121,7 +123,7 @@ class Operational:
     """How the population evolves: rule, wiring, schedule, fan-in."""
 
     update: UpdateFunction
-    milieu: np.ndarray
+    wiring: np.ndarray | None
     schedule: Schedule
     fan_in: int
 
@@ -132,9 +134,8 @@ class Operational:
 class MetastableSystem:
     """A bound, runnable system: both halves checked against each other.
 
-    ``wiring`` is None for a ring (its neighbours are ``ring_columns(count)``)
-    and a net's (layers-1, width, width) weights, block l-1 running from layer
-    l-1 into layer l. ``milieu`` rebuilds the dense form."""
+    ``wiring`` is stored as ``Operational`` carries it; ``milieu`` rebuilds
+    the dense (count, count) form."""
 
     kind: str
     states: tuple[int, ...]
@@ -192,30 +193,17 @@ def _binary(vec: np.ndarray) -> bool:
     return not np.count_nonzero((vec != 0) & (vec != 1))
 
 
-def _check_states(name: str, vec: np.ndarray, count: int, states: tuple[int, ...]):
+def _states(name: str, given, count: int) -> np.ndarray:
+    """A fresh int64 copy of a state vector, checked before the cast could truncate it."""
+    vec = np.asarray(given)
     if vec.shape != (count,):
         raise DimensionMismatch("%s has shape %s, expected (%d,)" % (name, vec.shape, count))
     if not _binary(vec):
-        raise StateDomainViolation("%s contains values outside %s" % (name, states))
+        raise StateDomainViolation("%s contains values outside %s" % (name, BINARY))
+    return vec.astype(np.int64)
 
 
-def _ring_entries(flat: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
-    """Views of the 3*count ring entries of a flattened (count, count) array,
-    count >= 3: three diagonals and the corners (0, count-1), (count-1, 0)."""
-    step = count + 1
-    return flat[::step], flat[1::step], flat[count::step], flat[count - 1 :: (count - 1) ** 2]
-
-
-def _check_ring(milieu: np.ndarray, count: int):
-    if count < 3:
-        raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
-    flat = milieu.reshape(-1)
-    ring = np.concatenate(_ring_entries(flat, count))
-    if np.count_nonzero(flat) != 3 * count or np.count_nonzero(ring != 1):
-        raise UnsupportedKind("milieu is not the 0/1 ring each cell needs")
-
-
-def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep, count: int) -> np.ndarray:
+def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, schedule: LayeredSweep, count: int) -> np.ndarray:
     if schedule.layers * schedule.width != count:
         raise BadDimensions(
             "%d layers of width %d need %d entities, got %d"
@@ -225,23 +213,15 @@ def _check_layered(milieu: np.ndarray, bias: np.ndarray, schedule: LayeredSweep,
         raise DimensionMismatch("bias has shape %s, expected (%d,)" % (bias.shape, count))
     if not np.isfinite(bias).all():
         raise NonFiniteInput("bias contains non-finite values")
-    blocks = np.empty((schedule.layers - 1, schedule.width, schedule.width))
-    nonzero = 0
-    # Weights live on a 9-decimal grid so the text form is lossless; one
-    # layer's rows are rounded at a time, so no (count, count) float is made.
-    for layer in range(schedule.layers):
-        rows = milieu[schedule.slice_of(layer)].astype(np.float64)
-        np.round(rows, WEIGHT_DECIMALS, out=rows)
-        if not np.isfinite(rows).all():
-            raise NonFiniteInput("milieu contains non-finite values")
-        nonzero += np.count_nonzero(rows)
-        if layer:
-            blocks[layer - 1] = rows[:, schedule.slice_of(layer - 1)]
+    shape = (schedule.layers - 1, schedule.width, schedule.width)
+    if np.shape(wiring) != shape:  # None has shape ()
+        raise DimensionMismatch("wiring has shape %s, expected %s" % (np.shape(wiring), shape))
+    # weights live on a 9-decimal grid so the text form is lossless
+    blocks = np.round(np.asarray(wiring, dtype=np.float64), WEIGHT_DECIMALS)
+    if not np.isfinite(blocks).all():
+        raise NonFiniteInput("wiring contains non-finite values")
     if bias[: schedule.width].any():
         raise UnsupportedKind("input-layer entities cannot carry a bias")
-    # edges may only run from layer l-1 into layer l, the blocks
-    if nonzero != np.count_nonzero(blocks):
-        raise UnsupportedKind("weights must connect consecutive layers only")
     return blocks
 
 
@@ -256,8 +236,7 @@ def ring_milieu(count: int) -> np.ndarray:
     if count < 3:
         raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
     milieu = np.zeros((count, count), dtype=np.int64)
-    for entries in _ring_entries(milieu.reshape(-1), count):
-        entries[...] = 1
+    np.put_along_axis(milieu, ring_columns(count), 1, axis=1)
     return milieu
 
 
@@ -269,16 +248,8 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
     if count < 1:
         raise TooFewEntities("need at least one entity, got %d" % count)
 
-    init = np.asarray(structural.init, dtype=np.int64).copy()
-    current = np.asarray(structural.current, dtype=np.int64).copy()
-    _check_states("init", init, count, BINARY)
-    _check_states("current", current, count, BINARY)
-
-    milieu = np.asarray(operational.milieu)
-    if milieu.shape != (count, count):
-        raise DimensionMismatch(
-            "milieu has shape %s, expected (%d, %d)" % (milieu.shape, count, count)
-        )
+    init = _states("init", structural.init, count)
+    current = _states("current", structural.current, count)
 
     update = operational.update
     kind = update.kind
@@ -286,13 +257,16 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
     if kind == "ca":
         if not isinstance(schedule, Synchronous):
             raise UnsupportedKind("cell populations update synchronously")
-        _check_ring(milieu, count)
+        if count < 3:
+            raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
+        if operational.wiring is not None:
+            raise UnsupportedKind("a ring's wiring is None: its neighbours are ring_columns(count)")
         wiring = None
         expected_fan_in = 3
     elif kind == "ann":
         if not isinstance(schedule, LayeredSweep):
             raise UnsupportedKind("perceptron populations update one layer per step")
-        wiring = _check_layered(milieu, update.bias, schedule, count)
+        wiring = _check_layered(operational.wiring, update.bias, schedule, count)
         expected_fan_in = schedule.width + 1
     else:
         raise UnsupportedKind("unknown system kind %r" % kind)
@@ -325,7 +299,7 @@ def demodulate(system: MetastableSystem) -> tuple[Structural, Operational]:
     )
     operational = Operational(
         update=system.update,
-        milieu=system.milieu,
+        wiring=None if system.wiring is None else system.wiring.copy(),
         schedule=system.schedule,
         fan_in=system.fan_in,
     )

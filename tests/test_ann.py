@@ -58,9 +58,9 @@ def _order_sensitive_net():
     fourteen 1s, then -1e16: 0.0 in order, but np.sum's pairwise blocks keep
     the 1s apart from 1e16 and give 14.0.
     """
-    weights = np.zeros((32, 32))
-    weights[16, :3] = [1e16, 1.0, -1e16]
-    weights[17, :16] = [1e16] + [1.0] * 14 + [-1e16]
+    weights = np.zeros((1, 16, 16))  # units 16 and 17 are rows 0 and 1 of block 0
+    weights[0, 0, :3] = [1e16, 1.0, -1e16]
+    weights[0, 1, :16] = [1e16] + [1.0] * 14 + [-1e16]
     bias = np.zeros(32)
     bias[16:18] = 0.5
     return ann.make_network(2, 16, "1" * 16, weights=weights, bias=bias)
@@ -98,9 +98,11 @@ def test_gate_sums_in_ascending_order(backend):
 
 
 def _edge(layers, width, entries):
-    w = np.zeros((layers * width, layers * width))
+    """Weight blocks from ``{(unit, input): weight}``, the input one layer below the unit."""
+    w = np.zeros((layers - 1, width, width))
     for (i, j), value in entries.items():
-        w[i, j] = value
+        assert j // width == i // width - 1
+        w[j // width, i % width, j % width] = value
     return w
 
 
@@ -158,6 +160,12 @@ def test_make_network_rejects_bad_dimensions():
         ann.make_network(2, 3, "10")
 
 
+def test_make_network_rejects_a_fractional_pattern():
+    with pytest.raises(StateDomainViolation):
+        ann.make_network(2, 2, np.array([0.5, 1.0]))
+    assert ann.make_network(2, 2, np.array([0.0, 1.0])) == ann.make_network(2, 2, "01")
+
+
 def test_forward_pass_hand_check():
     # 2 layers, width 2, input "10":
     # unit 2 reads 0.5*1 + 0.5*0 + bias 0.0 = 0.5 -> fires
@@ -171,11 +179,11 @@ def test_forward_pass_hand_check():
 def test_full_sweep_carries_layers_forward():
     # identity weights layer to layer: the pattern should reach the far end
     layers, width = 4, 3
-    weights = np.zeros((12, 12))
+    weights = np.zeros((layers - 1, width, width))
     bias = np.zeros(12)
     for layer in range(1, layers):
         for j in range(width):
-            weights[layer * width + j, (layer - 1) * width + j] = 1.0
+            weights[layer - 1, j, j] = 1.0
     system = ann.make_network(layers, width, "101", weights=weights, bias=bias)
     state = ann.forward(system)
     assert core.render_state(state) == "101101101101"

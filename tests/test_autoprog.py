@@ -16,10 +16,12 @@ from metastable.errors import (
     CompileFailed,
     MetastableError,
     NoBackendConfigured,
+    NonFiniteInput,
     OutOfRange,
     ParseError,
     RunTimeout,
     SemanticError,
+    TooFewEntities,
     UnsupportedKind,
 )
 
@@ -247,8 +249,36 @@ def test_parse_rejects_trailing_content():
 
 def test_parse_rejects_non_ring_milieus():
     text = autoprog.emit(ca_document(init="00100"))
-    with pytest.raises(UnsupportedKind):
-        autoprog.parse(_swap(text, "row 0: 0 1 4", "row 0: 0 1 2"))
+    for row in ("row 0: 0 1 2", "row 0: 0 1 2 4", "row 0: 0 1"):  # moved, extra, missing
+        with pytest.raises(UnsupportedKind):
+            autoprog.parse(_swap(text, "row 0: 0 1 4", row))
+
+
+def test_parse_rejects_a_two_cell_ring():
+    text = autoprog.emit(ca_document(init="010"))
+    text = _swap(_swap(text, "p 3", "p 2"), "init 010", "init 01")
+    text = _swap(text, "row 0: 0 1 2\nrow 1: 0 1 2\nrow 2: 0 1 2", "row 0: 0 1\nrow 1: 0 1")
+    with pytest.raises(TooFewEntities):
+        autoprog.parse(text)
+
+
+def test_parse_rejects_weights_off_the_layer_blocks():
+    text = autoprog.emit(ann_document(layers=3, width=2))
+    # the output layer reading the input layer, and layer 1 reading layer 2
+    for row, entry in (("row 4: ", "0=0.5 "), ("row 2: ", "4=0.5 ")):
+        with pytest.raises(UnsupportedKind):
+            autoprog.parse(_swap(text, row, row + entry))
+    # off the blocks, a weight that leaves the grid is non-finite first
+    with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+        autoprog.parse(_swap(text, "row 4: ", "row 4: 0=1e300 "))
+
+
+def test_parse_drops_off_block_weights_that_round_to_zero():
+    doc = ann_document(layers=3, width=2)
+    text = autoprog.emit(doc)
+    parsed = autoprog.parse(_swap(text, "row 4: ", "row 4: 0=0.000000000001 "))
+    assert parsed == doc
+    assert autoprog.emit(parsed) == text
 
 
 def test_parse_sizes_nothing_by_an_unchecked_p():
@@ -270,7 +300,7 @@ def test_parse_sizes_nothing_by_an_unchecked_p():
 
 def test_a_ring_that_fails_to_bind_leaves_nothing_behind():
     # 3,104 bytes whose init matches p 3000 but whose milieu has no rows: the
-    # p×p input is one byte a cell and the check builds no second p×p array
+    # rows are checked against ring_columns, with no p×p array
     text = _swap(autoprog.emit(ca_document(init="010")), "init 010", "init " + "0" * 3000)
     text = _swap(text, "p 3", "p 3000")
     text = "\n".join(line for line in text.splitlines() if not line.startswith("row ")) + "\n"
@@ -284,6 +314,21 @@ def test_a_ring_that_fails_to_bind_leaves_nothing_behind():
         tracemalloc.stop()
     assert peak < 16 << 20
     assert left < 1 << 20
+
+
+def test_parse_memory_follows_the_document_size():
+    # a valid 3,000-cell ring: 73,664 bytes of text, where a dense milieu is 9 MB
+    doc = ca_document(init="0110" * 750)
+    text = autoprog.emit(doc)
+    assert len(text) == 73_664
+    tracemalloc.start()
+    try:
+        parsed = autoprog.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == doc
+    assert peak < 5 << 20
 
 
 MUTATION_BASES = {
@@ -373,6 +418,11 @@ def test_generate_rejects_unknown_backends():
         autoprog.source_suffix("fortran")
     with pytest.raises(NoBackendConfigured):
         autoprog.default_toolchain("fortran")
+
+
+def test_default_python_toolchain_skips_site_imports():
+    # generated programs use only builtins, so the interpreter starts without site
+    assert autoprog.default_toolchain("python").command.endswith(" -S {src}")
 
 
 # --- toolchain -------------------------------------------------------------

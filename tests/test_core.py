@@ -142,7 +142,7 @@ def test_milieu_is_a_fresh_dense_copy_of_the_stored_wiring():
 
 
 def test_binding_a_wide_net_makes_no_count_by_count_array():
-    # 40 layers of 100: the dense input is 128 MB, the stored weights 3.1 MB
+    # 40 layers of 100: a dense milieu would be 128 MB, the stored weights are 3.1 MB
     net = ann.make_network(40, 100, make_rng(5).integers(0, 2, size=100), rng=make_rng(6))
     structural, operational = core.demodulate(net)
     tracemalloc.start()
@@ -159,13 +159,34 @@ def test_binding_a_wide_net_makes_no_count_by_count_array():
     assert train_peak < 16 << 20
 
 
+def test_binding_a_wide_ring_makes_no_count_by_count_array():
+    # 100,000 cells: a dense (count, count) int64 milieu alone would be 80 GB
+    init = make_rng(7).integers(0, 2, size=100_000)
+    tracemalloc.start()
+    try:
+        ring = ca.make_automaton(30, init)
+        rows = core.run(ring, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert rows.shape == (11, 100_000)
+    assert np.array_equal(rows[0], init)
+    # each step reads a cell and its two neighbours, wrapping at both ends
+    left, right = np.roll(rows[:-1], 1, axis=1), np.roll(rows[:-1], -1, axis=1)
+    assert np.array_equal(rows[1:], left ^ (rows[:-1] | right))  # rule 30
+
+
 def test_demodulate_returns_independent_copies():
     system = ca.make_automaton(110, "010")
     structural, operational = core.demodulate(system)
     structural.init[0] = 1
-    operational.milieu[0, 0] = 0
     assert system.init[0] == 0
-    assert system.milieu[0, 0] == 1
+    assert operational.wiring is None
+    net = ann.make_network(2, 2, "10", rng=make_rng(1))
+    _, operational = core.demodulate(net)
+    operational.wiring[0, 0, 0] = 0
+    assert net.wiring[0, 0, 0] != 0
 
 
 def test_modulate_rejects_non_binary_alphabet():
@@ -187,28 +208,39 @@ def test_modulate_rejects_state_vector_shape_and_domain():
         core.modulate(structural, operational)
 
 
-def test_modulate_rejects_wrong_milieu_shape():
-    system = ca.make_automaton(110, "0101")
-    structural, operational = core.demodulate(system)
-    operational.milieu = np.ones((3, 3), dtype=np.int64)
-    with pytest.raises(DimensionMismatch):
+def test_modulate_rejects_fractional_states_before_casting():
+    with pytest.raises(StateDomainViolation):
+        ca.make_automaton(110, np.array([0.5, 1.0, 0.0, 1.7]))
+    structural, operational = core.demodulate(ca.make_automaton(110, "0101"))
+    structural.current = np.array([0.0, 1.0, 0.0, 0.5])
+    with pytest.raises(StateDomainViolation):
         core.modulate(structural, operational)
+    # whole floats are states
+    structural.current = np.array([0.0, 1.0, 1.0, 0.0])
+    rebound = core.modulate(structural, operational)
+    assert rebound.current.dtype == np.int64
+    assert core.render_state(rebound.current) == "0110"
+    assert ca.make_automaton(110, np.array([0.0, 1.0, 0.0, 1.0])) == ca.make_automaton(110, "0101")
+
+
+def test_modulate_rejects_wrong_milieu_shape():
+    # a net's wiring is its (layers-1, width, width) blocks, nothing else
+    system = ann.make_network(3, 2, "10")
+    structural, operational = core.demodulate(system)
+    for wiring in (np.ones((2, 2, 3)), np.ones((3, 2, 2)), system.milieu, None):
+        operational.wiring = wiring
+        with pytest.raises(DimensionMismatch):
+            core.modulate(structural, operational)
 
 
 def test_modulate_rejects_broken_ring():
+    # a ring's neighbours are ring_columns(count): any wiring given is not its ring
     system = ca.make_automaton(110, "01011")
     structural, operational = core.demodulate(system)
-    operational.milieu[0, 2] = 1
-    with pytest.raises(UnsupportedKind):
-        core.modulate(structural, operational)
-    operational.milieu = system.milieu.copy()
-    operational.milieu[0, 1] = 2  # a ring entry that is not 0 or 1
-    with pytest.raises(UnsupportedKind):
-        core.modulate(structural, operational)
-    operational.milieu = system.milieu.copy()
-    operational.milieu[0, 2] = -1  # off the ring
-    with pytest.raises(UnsupportedKind):
-        core.modulate(structural, operational)
+    for wiring in (system.milieu, core.ring_columns(5), np.zeros(0)):
+        operational.wiring = wiring
+        with pytest.raises(UnsupportedKind):
+            core.modulate(structural, operational)
 
 
 def test_modulate_rejects_tiny_ring():
@@ -241,23 +273,11 @@ def test_modulate_rejects_layer_count_mismatch():
     )
     operational = core.Operational(
         update=ann.ThresholdGate(bias=np.zeros(4)),
-        milieu=np.zeros((4, 4)),
+        wiring=np.zeros((2, 2, 2)),
         schedule=core.LayeredSweep(layers=3, width=2),
         fan_in=3,
     )
     with pytest.raises(BadDimensions):
-        core.modulate(structural, operational)
-
-
-def test_modulate_rejects_cross_layer_edges():
-    system = ann.make_network(3, 2, "10")
-    structural, operational = core.demodulate(system)
-    operational.milieu[4, 0] = 0.5  # output unit reading the input layer
-    with pytest.raises(UnsupportedKind):
-        core.modulate(structural, operational)
-    operational.milieu = system.milieu.copy()
-    operational.milieu[2, 4] = 0.5  # layer-1 unit reading layer 2, backwards
-    with pytest.raises(UnsupportedKind):
         core.modulate(structural, operational)
 
 
@@ -272,13 +292,12 @@ def test_modulate_rejects_input_layer_bias():
 def test_modulate_rejects_non_finite_weights():
     system = ann.make_network(3, 2, "10")
     structural, operational = core.demodulate(system)
-    operational.milieu[2, 0] = np.inf
+    operational.wiring[0, 0, 0] = np.inf
     with pytest.raises(NonFiniteInput):
         core.modulate(structural, operational)
-    # off the layer blocks, a non-finite weight is still non-finite first
     for bad in (np.nan, np.inf, -np.inf):
-        operational.milieu = system.milieu
-        operational.milieu[4, 0] = bad
+        operational.wiring = system.wiring.copy()
+        operational.wiring[1, 0, 0] = bad
         with pytest.raises(NonFiniteInput):
             core.modulate(structural, operational)
 
@@ -286,13 +305,13 @@ def test_modulate_rejects_non_finite_weights():
 def test_modulate_quantizes_weights_to_the_text_grid():
     system = ann.make_network(2, 2, "10")
     structural, operational = core.demodulate(system)
-    operational.milieu[2, 0] = 0.1234567894
+    operational.wiring[0, 0, 0] = 0.1234567894
     rebound = core.modulate(structural, operational)
     assert rebound.milieu[2, 0] == 0.123456789
-    # a weight off the layer blocks that rounds to 0 is dropped, not rejected
+    # a weight 1e-12 off the grid rounds back onto it
     system = ann.make_network(3, 2, "10", rng=make_rng(2))
     structural, operational = core.demodulate(system)
-    operational.milieu[4, 0] = 1e-12
+    operational.wiring[1, 0, 0] = system.wiring[1, 0, 0] + 1e-12
     assert core.modulate(structural, operational) == system
 
 

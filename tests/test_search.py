@@ -218,6 +218,7 @@ def test_score_table_agrees_with_evaluate_bit_for_bit():
         ([0, 1], [0, 1], 1, TooFewEntities),
         ([0, 1, 0, 1], [0, 1, 0], 1, DimensionMismatch),
         ([0, 1, 0, 1], [0, 1, 0, 1], -1, OutOfRange),
+        ([0.5, 1.0, 0.0, 1.7], [0, 1, 0, 1], 1, StateDomainViolation),
     ],
 )
 def test_searches_raise_the_errors_evaluate_raises(init, target, steps, error):
