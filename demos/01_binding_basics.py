@@ -1,11 +1,12 @@
 """Build a system from its two halves, step it, and take it apart again.
 
-A runnable system is a pair: a structural half (how many entities, what
-states they may take, where they start) and an operational half (the update
-function, the wiring between entities, the schedule). A ring's wiring is
-None: each cell reads itself and its two neighbours, so there is nothing to
-spell out. `modulate` binds the two into something you can run;
-`demodulate` splits a running system back into the same two halves.
+A runnable system is a pair: a structural half (where the entities start)
+and an operational half (the update function, the wiring between entities,
+the schedule). A ring's wiring is None: each cell reads itself and its two
+neighbours, so there is nothing to spell out. `modulate` binds the two into
+something you can run; `demodulate` splits a running system back into the
+same two halves. What follows from the halves (the entity count, the state
+alphabet, the fan-in) is read off the bound system.
 """
 
 import numpy as np
@@ -15,21 +16,16 @@ from metastable import ca, core
 
 def main():
     seed = core.parse_state_string("0000001000000")
-    structural = core.Structural(
-        count=13,
-        states=core.BINARY,
-        init=seed,
-        current=seed.copy(),
-    )
+    structural = core.Structural(init=seed, current=seed.copy())
     operational = core.Operational(
         update=ca.RuleTable.from_number(90),
         wiring=None,  # the ring's neighbours are core.ring_columns(13)
         schedule=core.Synchronous(),
-        fan_in=ca.FAN_IN,
     )
 
     system = core.modulate(structural, operational)
     print("bound a %d-cell ring under rule %d" % (system.count, 90))
+    print("each cell reads %d cells and takes states %s" % (system.fan_in, system.states))
     print()
 
     for row in core.run(system, 6):

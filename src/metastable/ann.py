@@ -15,13 +15,7 @@ import math
 import numpy as np
 
 from . import core
-from .errors import (
-    DimensionMismatch,
-    NonFiniteInput,
-    OutOfRange,
-    StateDomainViolation,
-    UnsupportedKind,
-)
+from .errors import NonFiniteInput, OutOfRange, UnsupportedKind
 
 THRESHOLD = 0.5
 WEIGHT_DECIMALS = core.WEIGHT_DECIMALS
@@ -80,14 +74,8 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     """
     schedule = core.LayeredSweep(layers=layers, width=width)  # checks both counts
     count = layers * width
-    pattern_vec = core.parse_state_string(pattern) if isinstance(pattern, str) else np.asarray(pattern)
-    if pattern_vec.size != width:
-        raise DimensionMismatch(
-            "input pattern has %d entries, expected width %d" % (pattern_vec.size, width)
-        )
-    # the pattern keeps its dtype, so modulate sees a fractional entry before casting
-    init = np.zeros(count, dtype=np.result_type(pattern_vec, np.int64))
-    init[:width] = pattern_vec
+    init = np.zeros(count, dtype=np.int64)
+    init[:width] = core.state_vector(pattern, width, "input pattern")
 
     if weights is None and bias is None and rng is not None:
         # one stream of draws: each layer's weight block, then its bias row
@@ -99,14 +87,9 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     if bias is None:
         bias = np.zeros(count, dtype=np.float64)
 
-    structural = core.Structural(count=count, states=core.BINARY, init=init, current=init.copy())
+    structural = core.Structural(init=init, current=init.copy())
     # modulate and ThresholdGate put weights and bias on the text form's grid
-    operational = core.Operational(
-        update=ThresholdGate(bias=bias),
-        wiring=weights,
-        schedule=schedule,
-        fan_in=width + 1,
-    )
+    operational = core.Operational(update=ThresholdGate(bias=bias), wiring=weights, schedule=schedule)
     return core.modulate(structural, operational)
 
 
@@ -165,13 +148,7 @@ def train(system: core.MetastableSystem, target, config: TrainingConfig | None =
     if system.kind != "ann":
         raise UnsupportedKind("training applies to layered perceptron systems")
     schedule = system.schedule
-    target_vec = core.parse_state_string(target) if isinstance(target, str) else np.asarray(target)
-    if target_vec.size != schedule.width:
-        raise DimensionMismatch(
-            "target has %d entries, expected width %d" % (target_vec.size, schedule.width)
-        )
-    if not np.isin(target_vec, core.BINARY).all():
-        raise StateDomainViolation("target contains values outside %s" % (core.BINARY,))
+    target_vec = core.state_vector(target, schedule.width, "target")
 
     weights, gate = system.wiring.copy(), ThresholdGate(bias=system.update.bias)
     trained = dataclasses.replace(system, wiring=weights, update=gate)

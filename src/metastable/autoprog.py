@@ -45,7 +45,6 @@ from .errors import (
     ParseError,
     RunTimeout,
     SemanticError,
-    StateDomainViolation,
     UnsupportedKind,
 )
 
@@ -63,20 +62,9 @@ class Document:
     target: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.target is None:
-            return
-        target = self.target
-        if isinstance(target, str):
-            target = core.parse_state_string(target)
-        target = np.asarray(target)
-        want = self.system.count if self.system.kind == "ca" else self.system.schedule.width
-        if target.shape != (want,):
-            raise DimensionMismatch(
-                "target must hold %d states, got shape %s" % (want, target.shape)
-            )
-        if not (np.isin(target, core.BINARY)).all():
-            raise StateDomainViolation("target states must be 0 or 1")
-        self.target = target
+        if self.target is not None:
+            want = self.system.count if self.system.kind == "ca" else self.system.schedule.width
+            self.target = core.state_vector(self.target, want, "target")
 
     __eq__ = core.fields_equal
 
@@ -147,12 +135,9 @@ def _float(text: str, what: str, number: int) -> float:
 
 def _state_vector(text: str, expected: int, what: str) -> np.ndarray:
     try:
-        vec = core.parse_state_string(text)
-    except (BadCharacter, EmptyInput) as err:
+        return core.state_vector(text, expected, what)
+    except (BadCharacter, EmptyInput, DimensionMismatch) as err:
         raise SemanticError("%s: %s" % (what, err)) from None
-    if vec.size != expected:
-        raise SemanticError("%s has %d cells, expected %d" % (what, vec.size, expected))
-    return vec
 
 
 def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array, array]:
@@ -249,7 +234,6 @@ def parse(text: str) -> Document:
         if any(b not in (0, 1) for b in bits):
             raise SemanticError("table entries must be 0 or 1")
         update: core.UpdateFunction = ca.RuleTable(bits)
-        fan_in = ca.FAN_IN
     else:
         layers = _count(reader, "layers", "layer count")
         width = _count(reader, "width", "layer width")
@@ -280,7 +264,6 @@ def parse(text: str) -> Document:
                 raise SemanticError("bias %d repeats or is out of order" % i)
             last_bias = i
             biases.append((i, w))
-        fan_in = width + 1
 
     (init_text,) = _scalar(reader, "init")
     init = _state_vector(init_text, p, "init")
@@ -317,8 +300,8 @@ def parse(text: str) -> Document:
             bias[i] = w
         update = ann.ThresholdGate(bias=bias)
 
-    structural = core.Structural(count=p, states=core.BINARY, init=init, current=init.copy())
-    operational = core.Operational(update=update, wiring=wiring, schedule=schedule, fan_in=fan_in)
+    structural = core.Structural(init=init, current=init.copy())
+    operational = core.Operational(update=update, wiring=wiring, schedule=schedule)
     system = core.modulate(structural, operational)  # a ring has at least 3 cells past here
     if kind == "ca":
         # the whole ring at once: every entry as row*p + col, in ascending order
@@ -606,8 +589,8 @@ class ToolchainConfig:
     def __post_init__(self):
         if "{src}" not in self.command:
             raise ParseError("toolchain command must mention {src}")
-        if not self.timeout > 0:
-            raise OutOfRange("toolchain timeout must be positive, got %r" % self.timeout)
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise OutOfRange("toolchain timeout must be finite and positive, got %r" % self.timeout)
 
 
 def default_toolchain(backend: str) -> ToolchainConfig:

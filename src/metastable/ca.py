@@ -15,7 +15,6 @@ from . import core
 from .errors import OutOfRange, StateDomainViolation
 
 RULE_COUNT = 256
-FAN_IN = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,20 +62,6 @@ def ring_codes(rings: np.ndarray) -> np.ndarray:
 def make_automaton(rule, init, current=None) -> core.MetastableSystem:
     """Bind a rule and an initial state string (or vector) into a ring system."""
     table = rule if isinstance(rule, RuleTable) else RuleTable.from_number(rule)
-    init_vec = core.parse_state_string(init) if isinstance(init, str) else np.asarray(init)
-    if current is None:
-        current = init_vec  # modulate copies both vectors
-    current_vec = core.parse_state_string(current) if isinstance(current, str) else np.asarray(current)
-    structural = core.Structural(
-        count=int(init_vec.size),
-        states=core.BINARY,
-        init=init_vec,
-        current=current_vec,
-    )
-    operational = core.Operational(
-        update=table,
-        wiring=None,
-        schedule=core.Synchronous(),
-        fan_in=FAN_IN,
-    )
-    return core.modulate(structural, operational)
+    structural = core.Structural(init=init, current=init if current is None else current)
+    operational = core.Operational(update=table, wiring=None, schedule=core.Synchronous())
+    return core.modulate(structural, operational)  # modulate reads and copies both vectors

@@ -51,7 +51,7 @@ def _cmd_ca_run(args) -> int:
         print(core.render_state(row))
     if args.target is None:
         return 0
-    target = core.parse_state_string(args.target)
+    target = core.state_vector(args.target, system.count, "target")
     score = core.match(rows[-1], target)
     print("match %s" % (SCORE % score))
     return 0 if score == 1.0 else 1
@@ -82,6 +82,8 @@ def _cmd_ca_enumerate(args) -> int:
 
 
 def _cmd_ann_train(args) -> int:
+    if not 0 <= args.goal <= 1:  # nan fails this too
+        raise OutOfRange("goal must lie in [0, 1], got %r" % args.goal)
     seed = _pick_seed(args)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     system = ann.make_network(args.layers, args.width, args.init, rng=rng)
@@ -121,25 +123,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demodulate(args) -> int:
-    doc = _read_model(args.model)
-    structural, operational = core.demodulate(doc.system)
-    print("structural count %d" % structural.count)
-    print("structural states %s" % "".join(str(s) for s in structural.states))
+    system = _read_model(args.model).system
+    structural, operational = core.demodulate(system)
+    print("structural count %d" % system.count)
+    print("structural states %s" % "".join(str(s) for s in system.states))
     print("structural init %s" % core.render_state(structural.init))
     print("structural current %s" % core.render_state(structural.current))
-    print("operational kind %s" % doc.system.kind)
+    print("operational kind %s" % system.kind)
     schedule = operational.schedule
     if isinstance(schedule, core.Synchronous):
         print("operational schedule synchronous")
     else:
         print("operational schedule layered %d %d" % (schedule.layers, schedule.width))
-    print("operational fan-in %d" % operational.fan_in)
-    if doc.system.kind == "ca":
+    print("operational fan-in %d" % system.fan_in)
+    if system.kind == "ca":
         print("operational update table %s" % " ".join(str(b) for b in operational.update.bits))
     else:
         print("operational update threshold")
     wiring = operational.wiring  # None for a ring, whose cells read three each
-    print("operational milieu nonzeros %d" % (3 * structural.count if wiring is None else np.count_nonzero(wiring)))
+    print("operational milieu nonzeros %d" % (3 * system.count if wiring is None else np.count_nonzero(wiring)))
     return 0
 
 

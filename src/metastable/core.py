@@ -1,10 +1,12 @@
 """Binding and stepping for entity populations under a shared update rule.
 
 A system description has two halves. The structural half says what the
-population is: entity count, state alphabet, initial and current state
-vectors. The operational half says how it evolves: the update function, the
-milieu wiring entities together, the schedule choosing who fires at each
-step, and the update function's fan-in. The milieu travels as ``wiring``,
+population is: its initial and current state vectors. The operational half
+says how it evolves: the update function, the milieu wiring entities
+together, and the schedule choosing who fires at each step. What follows
+from these is read off a bound system, not given: its kind (the update's),
+its entity count (the size of ``init``), its state alphabet (always
+``BINARY``) and its fan-in. The milieu travels as ``wiring``,
 in the form its kind steps through: ``None`` for a ring, whose neighbours
 are ``ring_columns(count)``, and a net's (layers-1, width, width) weight
 blocks, block l-1 running from layer l-1 into layer l.
@@ -108,10 +110,9 @@ def fields_equal(self, other):
 
 @dataclasses.dataclass
 class Structural:
-    """What the population is: size, alphabet, initial and current states."""
+    """What the population is: its initial and current states, each a '0'/'1'
+    string or an array; ``modulate`` reads both through ``state_vector``."""
 
-    count: int
-    states: tuple[int, ...]
     init: np.ndarray
     current: np.ndarray
 
@@ -120,12 +121,11 @@ class Structural:
 
 @dataclasses.dataclass
 class Operational:
-    """How the population evolves: rule, wiring, schedule, fan-in."""
+    """How the population evolves: rule, wiring, schedule."""
 
     update: UpdateFunction
     wiring: np.ndarray | None
     schedule: Schedule
-    fan_in: int
 
     __eq__ = fields_equal
 
@@ -137,20 +137,28 @@ class MetastableSystem:
     ``wiring`` is stored as ``Operational`` carries it; ``milieu`` rebuilds
     the dense (count, count) form."""
 
-    kind: str
-    states: tuple[int, ...]
     update: UpdateFunction
     wiring: np.ndarray | None
     schedule: Schedule
     init: np.ndarray
     current: np.ndarray
-    fan_in: int
+
+    states = BINARY
 
     __eq__ = fields_equal
 
     @property
+    def kind(self) -> str:
+        return self.update.kind
+
+    @property
     def count(self) -> int:
         return int(self.init.size)
+
+    @property
+    def fan_in(self) -> int:
+        """Inputs per update: a cell and its two neighbours, or a unit's bias and previous layer."""
+        return 3 if self.wiring is None else self.schedule.width + 1
 
     @property
     def milieu(self) -> np.ndarray:
@@ -193,11 +201,15 @@ def _binary(vec: np.ndarray) -> bool:
     return not np.count_nonzero((vec != 0) & (vec != 1))
 
 
-def _states(name: str, given, count: int) -> np.ndarray:
-    """A fresh int64 copy of a state vector, checked before the cast could truncate it."""
-    vec = np.asarray(given)
-    if vec.shape != (count,):
-        raise DimensionMismatch("%s has shape %s, expected (%d,)" % (name, vec.shape, count))
+def state_vector(given, count: int | None = None, name: str = "state vector") -> np.ndarray:
+    """A fresh int64 state vector from a '0'/'1' string or an array of 0s and 1s.
+
+    It must be 1-D, with ``count`` cells when ``count`` is given. Values are
+    checked before the cast, so a fractional state is not truncated."""
+    vec = parse_state_string(given) if isinstance(given, str) else np.asarray(given)
+    if vec.ndim != 1 or count is not None and vec.size != count:
+        expected = "1-D" if count is None else "(%d,)" % count
+        raise DimensionMismatch("%s has shape %s, expected %s" % (name, vec.shape, expected))
     if not _binary(vec):
         raise StateDomainViolation("%s contains values outside %s" % (name, BINARY))
     return vec.astype(np.int64)
@@ -242,14 +254,11 @@ def ring_milieu(count: int) -> np.ndarray:
 
 def modulate(structural: Structural, operational: Operational) -> MetastableSystem:
     """Bind the two halves into a runnable system, checking every invariant."""
-    if tuple(structural.states) != BINARY:
-        raise UnsupportedKind("only the binary state alphabet (0, 1) is supported")
-    count = structural.count
+    init = state_vector(structural.init, name="init")
+    count = init.size
     if count < 1:
         raise TooFewEntities("need at least one entity, got %d" % count)
-
-    init = _states("init", structural.init, count)
-    current = _states("current", structural.current, count)
+    current = state_vector(structural.current, count, "current")
 
     update = operational.update
     kind = update.kind
@@ -262,48 +271,21 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
         if operational.wiring is not None:
             raise UnsupportedKind("a ring's wiring is None: its neighbours are ring_columns(count)")
         wiring = None
-        expected_fan_in = 3
     elif kind == "ann":
         if not isinstance(schedule, LayeredSweep):
             raise UnsupportedKind("perceptron populations update one layer per step")
         wiring = _check_layered(operational.wiring, update.bias, schedule, count)
-        expected_fan_in = schedule.width + 1
     else:
         raise UnsupportedKind("unknown system kind %r" % kind)
 
-    if operational.fan_in != expected_fan_in:
-        raise DimensionMismatch(
-            "fan-in %d does not fit this system, expected %d"
-            % (operational.fan_in, expected_fan_in)
-        )
-
-    return MetastableSystem(
-        kind=kind,
-        states=BINARY,
-        update=update,
-        wiring=wiring,
-        schedule=schedule,
-        init=init,
-        current=current,
-        fan_in=operational.fan_in,
-    )
+    return MetastableSystem(update=update, wiring=wiring, schedule=schedule, init=init, current=current)
 
 
 def demodulate(system: MetastableSystem) -> tuple[Structural, Operational]:
     """Split a bound system back into independent structural and operational halves."""
-    structural = Structural(
-        count=system.count,
-        states=system.states,
-        init=system.init.copy(),
-        current=system.current.copy(),
-    )
-    operational = Operational(
-        update=system.update,
-        wiring=None if system.wiring is None else system.wiring.copy(),
-        schedule=system.schedule,
-        fan_in=system.fan_in,
-    )
-    return structural, operational
+    structural = Structural(init=system.init.copy(), current=system.current.copy())
+    wiring = None if system.wiring is None else system.wiring.copy()
+    return structural, Operational(update=system.update, wiring=wiring, schedule=system.schedule)
 
 
 def _next_state(system: MetastableSystem, t: int) -> np.ndarray:

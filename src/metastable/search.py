@@ -59,12 +59,8 @@ class Problem:
 
     @classmethod
     def from_strings(cls, init: str, target: str, steps: int) -> "Problem":
-        init_vec = core.parse_state_string(init)
-        target_vec = core.parse_state_string(target)
-        if init_vec.size != target_vec.size:
-            raise DimensionMismatch(
-                "init has %d cells but target has %d" % (init_vec.size, target_vec.size)
-            )
+        init_vec = core.state_vector(init, name="init")
+        target_vec = core.state_vector(target, init_vec.size, "target")
         if steps < 0:
             raise OutOfRange("step count must not be negative, got %d" % steps)
         return cls(init=init_vec, target=target_vec, steps=steps)

@@ -158,6 +158,8 @@ def test_make_network_rejects_bad_dimensions():
         ann.make_network(3, 0, "")
     with pytest.raises(DimensionMismatch):
         ann.make_network(2, 3, "10")
+    with pytest.raises(DimensionMismatch):
+        ann.make_network(2, 2, np.array([[0], [1]]))
 
 
 def test_make_network_rejects_a_fractional_pattern():

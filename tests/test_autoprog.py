@@ -435,6 +435,11 @@ def test_toolchain_config_requires_src_placeholder():
         autoprog.ToolchainConfig(command="cc {src}", timeout=0)
 
 
+def test_toolchain_config_rejects_an_infinite_timeout():
+    with pytest.raises(OutOfRange):
+        autoprog.ToolchainConfig(command="cc {src}", timeout=float("inf"))
+
+
 def test_toolchain_rejects_unknown_placeholders():
     config = autoprog.ToolchainConfig(command="cc {src} {flags}")
     with pytest.raises(ParseError):

@@ -230,6 +230,16 @@ def test_ann_train_goal_can_be_relaxed(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("goal", ["nan", "-0.1", "5"])
+def test_ann_train_rejects_a_goal_outside_zero_to_one(capsys, goal):
+    argv = ["ann-train", "--layers", "3", "--width", "4", "--init", "1010", "--target", "0110",
+            "--seed", "5", "--goal", goal]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: goal must lie in [0, 1], got %r" % float(goal)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -316,6 +326,10 @@ def test_verify_builds_its_toolchain_from_the_flags(capsys, reference_model):
     assert "{src}" in err
     code, out, err = run_cli(capsys, base + ["--timeout", "0"])
     assert code == 2
+    code, out, err = run_cli(capsys, base + ["--timeout", "inf"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: toolchain timeout must be finite and positive, got inf"]
     code, out, err = run_cli(capsys, base + ["--timeout", "30"])
     assert code == 0
     assert out.strip() == "equal"
