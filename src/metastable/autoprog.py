@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import shlex
 import shutil
 import signal
@@ -48,8 +49,6 @@ from .errors import (
     UnsupportedKind,
 )
 
-BACKENDS = ("c", "python")
-DEFAULT_C_COMMAND = "cc -O2 -ffp-contract=off -o {bin} {src} && {bin}"
 AMP_VERSION = "1"
 
 
@@ -77,25 +76,28 @@ def format_weight(value: float) -> str:
 # --- parsing ---------------------------------------------------------------
 
 
+# One line as str.splitlines cuts it, then its break; the text's end adds one
+# empty match, which reads as a blank line.
+_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_LINE = re.compile("([^%s]*)(?:\r\n|[%s])?" % (_BREAKS, _BREAKS))
+
+
 class _Reader:
-    """Lines with comments stripped and blanks dropped, plus line numbers."""
+    """Lines with comments stripped and blanks dropped, plus line numbers,
+    split one at a time as the parser asks for them."""
 
     def __init__(self, text: str):
-        self.items: list[tuple[int, list[str]]] = []
-        for number, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                self.items.append((number, line.split()))
-        self.pos = 0
+        tokens = (match[1].split("#", 1)[0].split() for match in _LINE.finditer(text))
+        self.items = ((number, line) for number, line in enumerate(tokens, 1) if line)
+        self.item = next(self.items, None)
 
     def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+        return self.item
 
     def take(self, what: str):
-        if self.pos >= len(self.items):
+        if self.item is None:
             raise ParseError("expected %s but the document ended" % what)
-        item = self.items[self.pos]
-        self.pos += 1
+        item, self.item = self.item, next(self.items, None)
         return item
 
 
@@ -335,15 +337,16 @@ def emit(doc: Document) -> str:
     else:
         lines.append("schedule layered %d %d" % (schedule.layers, schedule.width))
     lines.append("milieu:")
-    row_start, col_index, col_weight = _csr(system)
-    for i in range(system.count):
-        lo, hi = row_start[i], row_start[i + 1]
-        if system.kind == "ca":
-            entries = " ".join(map(str, sorted(col_index[lo:hi])))
-        else:
-            entries = " ".join("%d=%s" % (j, format_weight(w)) for j, w in zip(col_index[lo:hi], col_weight[lo:hi]))
-        if entries:
-            lines.append("row %d: %s" % (i, entries))
+    if system.kind == "ca":
+        rows = [" ".join(map(str, row)) for row in np.sort(core.ring_columns(system.count), axis=1).tolist()]
+    else:
+        # the blocks' rows, in order, are units width, width+1, ...; the input layer reads nothing
+        width = schedule.width
+        rows = [""] * width
+        for u, weights in enumerate(system.wiring.reshape(-1, width).tolist(), width):
+            first = (u // width - 1) * width  # the layer before u's own
+            rows.append(" ".join("%d=%s" % (first + j, format_weight(w)) for j, w in enumerate(weights) if w))
+    lines += ["row %d: %s" % (i, entries) for i, entries in enumerate(rows) if entries]
     lines.append("update:")
     if system.kind == "ca":
         lines.append("table %s" % " ".join(str(b) for b in system.update.bits))
@@ -384,109 +387,75 @@ def _wrap(values: list[str], per_line: int) -> str:
     return "\n".join(lines)
 
 
-def _csr(system: core.MetastableSystem) -> tuple[list[int], list[int], list[float]]:
-    """The milieu row by row: entity u reads entries row_start[u] .. row_start[u+1].
-
-    A ring row lists its columns (weights 1, not listed) in code order, i-1, i,
-    i+1 (wrapping), so folding it as code = 2*code + state gives 4l+2c+r. A net
-    row lists its nonzero weights in ascending order, the order the interpreter sums.
-    """
-    p = system.count
-    if system.kind == "ca":
-        rows = np.repeat(np.arange(p), 3)
-        cols = core.ring_columns(p).ravel()
-        weights = []
-    else:
-        width = system.schedule.width
-        block, row, col = np.nonzero(system.wiring)
-        rows, cols = (block + 1) * width + row, block * width + col
-        weights = system.wiring[block, row, col].tolist()
-    row_start = np.searchsorted(rows, np.arange(p + 1))
-    return row_start.tolist(), cols.tolist(), weights
-
-
-# The body of value(u) for each kind and backend: fold u's row into the
-# neighbourhood code or the input sum, then gate it into the new state.
-_VALUE = {
-    ("ca", "c"): """\
-int code = 0;
-for (int k = ROW_START[u]; k < ROW_START[u + 1]; k++) code = 2 * code + act[COL_INDEX[k]];
-return TABLE[code];""",
-    ("ca", "python"): """\
-code = 0
-for j in ROW[u]:
-    code = 2 * code + act[j]
-return TABLE[code]""",
-    ("ann", "c"): """\
-double s = BIAS[u];
-for (int k = ROW_START[u]; k < ROW_START[u + 1]; k++) s += COL_WEIGHT[k] * act[COL_INDEX[k]];
-return s >= 0.5;""",
-    ("ann", "python"): """\
-s = BIAS[u]
-for j, w in zip(ROW[u], COL_WEIGHT[ROW_START[u] : ROW_START[u + 1]]):
-    s += w * act[j]
-return 1 if s >= 0.5 else 0""",
-}
-
-# How each backend writes a constant, a table, and the break in a comment
-# that runs over two lines. ISO C forbids empty initializers, so an empty C
-# table is padded with one slot.
-_SYNTAX = {
-    "c": ("#define %s %d", "static const %(ctype)s %(name)s[] = {\n%(values)s\n};\n", ["0"], "\n   "),
-    "python": ("%s = %d", "%(name)s = [\n%(values)s\n]\n", [], "\n# "),
-}
-
-
-def _fields(doc: Document, backend: str) -> dict[str, str]:
+def _fields(doc: Document, syntax: dict) -> dict[str, str]:
     """What the backend's template fills in, written in the backend's syntax.
 
     The scheduled range [lo, hi) of step t is given as expressions that read
     the same in C and Python: all entities, or one layer.
     """
-    const, table, pad, comment_break = _SYNTAX[backend]
+
+    def table(ctype: str, name: str, values) -> str:
+        if ctype == "double":
+            # repr round-trips doubles exactly and reads as a literal in both C and Python
+            literals = _wrap([repr(float(v)) for v in values], 8)
+        else:
+            literals = _wrap([str(int(v)) for v in values], 20)
+        return syntax["table"] % {"ctype": ctype, "name": name, "values": literals}
+
     system = doc.system
-    row_start, col_index, col_weight = _csr(system)
     consts = [("P", system.count), ("STEPS", doc.steps)]
-    milieu = [("int", "ROW_START", row_start), ("int", "COL_INDEX", col_index)]
     if system.kind == "ca":
-        update = [("int", "TABLE", system.update.bits)]
+        milieu = ""
+        reads = ["cell u reads cells u-1, u and u+1, wrapping"]
+        update = table("int", "TABLE", system.update.bits)
         note = ["neighbourhood code 4*left + 2*centre + right, looked up in the rule table"]
         lo, hi = "0", "P"
     else:
         consts += [("LAYERS", system.schedule.layers), ("WIDTH", system.schedule.width)]
-        milieu.append(("double", "COL_WEIGHT", col_weight))
-        update = [("double", "BIAS", system.update.bias)]
+        milieu = table("double", "WEIGHT", system.wiring.ravel())
+        reads = [
+            "the layer blocks in order, block l-1 from layer l-1 into layer l: unit u",
+            "weighs unit j of the layer before it by WEIGHT[(u - WIDTH) * WIDTH + j]",
+        ]
+        update = table("double", "BIAS", system.update.bias)
         note = [
             "input sum: bias plus weighted previous-layer activations, in ascending",
             "entity order; the gate fires at 0.5 and above",
         ]
         lo, hi = "(t % (LAYERS - 1) + 1) * WIDTH", "(t % (LAYERS - 1) + 2) * WIDTH"
-
-    def tables(items) -> str:
-        text = ""
-        for ctype, name, values in items:
-            if ctype == "double":
-                # repr round-trips doubles exactly and reads as a literal in both C and Python
-                literals = _wrap([repr(float(v)) for v in values] or pad, 8)
-            else:
-                literals = _wrap([str(int(v)) for v in values] or pad, 20)
-            text += table % {"ctype": ctype, "name": name, "values": literals}
-        return text
-
     return {
-        "consts": "\n".join(const % item for item in consts),
+        "consts": "\n".join(syntax["const"] % item for item in consts),
         "init": _wrap([str(int(v)) for v in system.init], 20),
-        "milieu": tables(milieu),
-        "note": comment_break.join(note),
-        "update": tables(update),
-        "value": textwrap.indent(_VALUE[system.kind, backend], "    "),
+        "reads": syntax["comment_break"].join(reads),
+        "milieu": milieu,
+        "note": syntax["comment_break"].join(note),
+        "update": update,
+        "value": textwrap.indent(syntax["value"][system.kind], "    "),
         "lo": lo,
         "hi": hi,
     }
 
 
-def _generate_c(doc: Document) -> str:
-    return """\
+# Each backend once: the source file's suffix and the default toolchain
+# command; how the language writes a constant, a table, and the break in a
+# comment that runs over two lines; value(u)'s body for each kind, which
+# gathers u's inputs from the stored wiring into the neighbourhood code or the
+# input sum and gates it into the new state; and the program template.
+BACKENDS = {
+    "c": {
+        "suffix": ".c",
+        "command": "cc -O2 -ffp-contract=off -o {bin} {src} && {bin}",
+        "const": "#define %s %d",
+        "table": "static const %(ctype)s %(name)s[] = {\n%(values)s\n};\n",
+        "comment_break": "\n   ",
+        "value": {
+            "ca": "return TABLE[4 * act[(u + P - 1) % P] + 2 * act[u] + act[(u + 1) % P]];",
+            "ann": """\
+double s = BIAS[u];
+for (int j = 0; j < WIDTH; j++) s += WEIGHT[(u - WIDTH) * WIDTH + j] * act[(u / WIDTH - 1) * WIDTH + j];
+return s >= 0.5;""",
+        },
+        "template": """\
 /* structure */
 #include <stdio.h>
 
@@ -498,7 +467,7 @@ static int act[P] = {
 static int next_act[P];
 
 /* milieu */
-/* row-compressed wiring: entity u reads entries ROW_START[u] .. ROW_START[u+1] */
+/* %(reads)s */
 %(milieu)s
 /* update */
 /* %(note)s */
@@ -525,11 +494,24 @@ int main(void) {
     }
     return 0;
 }
-""" % _fields(doc, "c")
-
-
-def _generate_python(doc: Document) -> str:
-    return """\
+""",
+    },
+    "python": {
+        "suffix": ".py",
+        # generated programs use only builtins, so skip the site module's start-up
+        "command": shlex.quote(sys.executable) + " -S {src}",
+        "const": "%s = %d",
+        "table": "%(name)s = [\n%(values)s\n]\n",
+        "comment_break": "\n# ",
+        "value": {
+            "ca": "return TABLE[4 * act[(u + P - 1) % P] + 2 * act[u] + act[(u + 1) % P]]",
+            "ann": """\
+s = BIAS[u]
+for j in range(WIDTH):
+    s += WEIGHT[(u - WIDTH) * WIDTH + j] * act[(u // WIDTH - 1) * WIDTH + j]
+return 1 if s >= 0.5 else 0""",
+        },
+        "template": """\
 # structure
 %(consts)s
 act = [
@@ -537,10 +519,8 @@ act = [
 ]
 
 # milieu
-# row-compressed wiring: entity u reads entries ROW_START[u] .. ROW_START[u+1]
-%(milieu)s# the same rows cut out once, one list of columns per entity
-ROW = [COL_INDEX[ROW_START[u] : ROW_START[u + 1]] for u in range(P)]
-
+# %(reads)s
+%(milieu)s
 # update
 # %(note)s
 %(update)s
@@ -556,20 +536,25 @@ for t in range(STEPS):
     lo, hi = %(lo)s, %(hi)s
     act[lo:hi] = [value(u) for u in range(lo, hi)]
     show(act)
-""" % _fields(doc, "python")
+""",
+    },
+}
+
+
+def _backend(name: str) -> dict:
+    if name not in BACKENDS:
+        raise NoBackendConfigured("unknown backend '%s'; available: %s" % (name, ", ".join(BACKENDS)))
+    return BACKENDS[name]
 
 
 def generate(doc: Document, backend: str) -> str:
     """Standalone source that prints the document's trajectory, line by line."""
-    if backend not in BACKENDS:
-        raise NoBackendConfigured("unknown backend '%s'; available: %s" % (backend, ", ".join(BACKENDS)))
-    return _generate_c(doc) if backend == "c" else _generate_python(doc)
+    syntax = _backend(backend)
+    return syntax["template"] % _fields(doc, syntax)
 
 
 def source_suffix(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise NoBackendConfigured("unknown backend '%s'" % backend)
-    return ".c" if backend == "c" else ".py"
+    return _backend(backend)["suffix"]
 
 
 # --- toolchain -------------------------------------------------------------
@@ -594,21 +579,12 @@ class ToolchainConfig:
 
 
 def default_toolchain(backend: str) -> ToolchainConfig:
-    if backend == "c":
-        return ToolchainConfig(command=DEFAULT_C_COMMAND)
-    if backend == "python":
-        # generated programs use only builtins, so skip the site module's start-up
-        return ToolchainConfig(command=shlex.quote(sys.executable) + " -S {src}")
-    raise NoBackendConfigured("unknown backend '%s'" % backend)
+    return ToolchainConfig(command=_backend(backend)["command"])
 
 
 def toolchain_available(backend: str) -> bool:
-    """Whether the default toolchain for a backend can run here."""
-    if backend == "python":
-        return True
-    if backend == "c":
-        return shutil.which("cc") is not None
-    return False
+    """Whether the default toolchain for a backend can run here: its program is found."""
+    return backend in BACKENDS and shutil.which(shlex.split(BACKENDS[backend]["command"])[0]) is not None
 
 
 def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") -> str:
@@ -626,8 +602,9 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
             command = config.command.format(
                 src=shlex.quote(src), bin=shlex.quote(binary), dir=shlex.quote(scratch)
             )
-        except (KeyError, IndexError) as err:
-            raise ParseError("toolchain command has an unknown placeholder: %s" % err) from None
+        except (KeyError, IndexError, ValueError, AttributeError, TypeError) as err:
+            # an unknown name or index, or a field that str.format cannot read
+            raise ParseError("toolchain command has a bad placeholder: %s" % err) from None
         with subprocess.Popen(
             command,
             shell=True,

@@ -40,7 +40,7 @@ def _pick_seed(args) -> int:
 
 
 def _read_model(path: str) -> autoprog.Document:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         return autoprog.parse(handle.read())
 
 
@@ -209,7 +209,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _load_config(path: str) -> list[tuple[str, str]]:
     pairs = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -243,7 +243,7 @@ def _apply_config(argv: list[str], index: dict[str, argparse.ArgumentParser]) ->
         return True
     try:
         pairs = _load_config(path)
-    except (OSError, MetastableError) as err:
+    except (OSError, UnicodeDecodeError, MetastableError) as err:
         _fail("cannot read config: %s" % err)
         return False
     defaults = {}
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _fail(str(err))
         return 2
     except (CompileFailed, RunTimeout) as err:

@@ -1,5 +1,6 @@
 """Model-program text form, interpreter, generated sources, and toolchains."""
 
+import ast
 import dataclasses
 import os
 import time
@@ -331,6 +332,21 @@ def test_parse_memory_follows_the_document_size():
     assert peak < 5 << 20
 
 
+def test_parse_memory_streams_the_lines():
+    # a 10x60 net: 545,142 bytes of text, read one line at a time
+    doc = ann_document(layers=10, width=60, steps=1)
+    text = autoprog.emit(doc)
+    assert len(text) == 545_142
+    tracemalloc.start()
+    try:
+        parsed = autoprog.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == doc
+    assert peak < 7 * len(text)
+
+
 MUTATION_BASES = {
     "ca": autoprog.emit(ca_document(target="0110110")),
     "ann": autoprog.emit(ann_document(target="101")),
@@ -420,6 +436,22 @@ def test_generate_rejects_unknown_backends():
         autoprog.default_toolchain("fortran")
 
 
+def test_generated_programs_read_the_stored_wiring():
+    # a ring computes its neighbours, and a net reads its weight blocks in order
+    for doc in (ca_document(), ann_document(layers=4, width=3)):
+        for backend in autoprog.BACKENDS:
+            source = autoprog.generate(doc, backend)
+            assert "ROW_START" not in source and "COL_INDEX" not in source
+    system = ann_document(layers=4, width=3).system
+    source = autoprog.generate(autoprog.Document(system=system, steps=3), "python")
+    (weight,) = [
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WEIGHT"
+    ]
+    assert ast.literal_eval(weight) == system.wiring.ravel().tolist()
+
+
 def test_default_python_toolchain_skips_site_imports():
     # generated programs use only builtins, so the interpreter starts without site
     assert autoprog.default_toolchain("python").command.endswith(" -S {src}")
@@ -444,6 +476,10 @@ def test_toolchain_rejects_unknown_placeholders():
     config = autoprog.ToolchainConfig(command="cc {src} {flags}")
     with pytest.raises(ParseError):
         autoprog.compile_and_run("int main(void){}", config)
+    # every way str.format can fail on a template is the same typed error
+    for command in ("cat {src} {", "cat {src} }", "cat {src} {src!z}", "cat {src} {src.x}", "cat {src} {src[x]}"):
+        with pytest.raises(ParseError):
+            autoprog.compile_and_run("x", autoprog.ToolchainConfig(command=command))
 
 
 def test_compile_and_run_returns_stdout():
@@ -517,6 +553,11 @@ def test_compare_spots_the_first_differing_line():
 def _backend_documents():
     silent = ann.make_network(3, 2, "10")  # all-zero weights and biases: no milieu entries
     assert not silent.milieu.any() and not silent.update.bias.any()
+    # programs sum every term, so zero and -0.0 weights must leave each sum as it is
+    rng = make_rng(6)
+    sparse = rng.uniform(-1, 1, (4, 5, 5)) * (rng.random((4, 5, 5)) < 0.5)
+    holey = ann.make_network(5, 5, "10110", weights=sparse, bias=np.r_[np.zeros(5), rng.uniform(-1, 1, 20)])
+    assert np.signbit(holey.wiring[holey.wiring == 0]).any()
     return [
         ca_document(rule=110, init=INIT, steps=STEPS),
         ann_document(),
@@ -525,6 +566,7 @@ def _backend_documents():
         ann_document(steps=0),
         autoprog.Document(system=silent, steps=4),
         ann_document(layers=4, width=3, steps=8),  # more than layers-1 steps: the sweep wraps
+        autoprog.Document(system=holey, steps=6),
     ]
 
 

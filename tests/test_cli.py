@@ -284,6 +284,14 @@ def test_missing_model_files_exit_two(capsys):
     assert code == 2
 
 
+def test_model_files_that_are_not_utf8_exit_two(capsys, tmp_path):
+    path = tmp_path / "binary.amp"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, ["demodulate", "--model", str(path)])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_python_backend(capsys, reference_model, layered_model):
     for model in (reference_model, layered_model):
         code, out, err = run_cli(capsys, ["verify", "--model", model, "--backend", "python"])
@@ -333,6 +341,14 @@ def test_verify_builds_its_toolchain_from_the_flags(capsys, reference_model):
     code, out, err = run_cli(capsys, base + ["--timeout", "30"])
     assert code == 0
     assert out.strip() == "equal"
+
+
+def test_malformed_toolchain_templates_exit_two(capsys, reference_model):
+    base = ["verify", "--model", reference_model, "--backend", "python", "--toolchain"]
+    for command in ("cat {src} {", "cat {src} }", "cat {src} {src!z}", "cat {src} {src.x}"):
+        code, out, err = run_cli(capsys, base + [command])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_big_p_model_exits_two(capsys, tmp_path, reference_model):
@@ -445,3 +461,11 @@ def test_malformed_config_lines_exit_two(capsys, tmp_path):
         ["ca-search", "--config", str(conf), "--init", "010", "--target", "010", "--steps", "1"],
     )
     assert code == 2
+
+
+def test_config_files_that_are_not_utf8_exit_two(capsys, tmp_path):
+    conf = tmp_path / "binary.conf"
+    conf.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, ["ca-run", "--config", str(conf), "--rule", "1", "--init", "010", "--steps", "1"])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config:")
