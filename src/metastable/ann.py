@@ -18,12 +18,6 @@ from . import core
 from .errors import NonFiniteInput, OutOfRange, UnsupportedKind
 
 THRESHOLD = 0.5
-WEIGHT_DECIMALS = core.WEIGHT_DECIMALS
-
-
-def quantize(values):
-    """Snap weights to the 9-decimal grid used by the text form."""
-    return np.round(values, WEIGHT_DECIMALS)
 
 
 def threshold_activation(value: float) -> int:
@@ -49,7 +43,7 @@ class ThresholdGate:
     __eq__ = core.fields_equal
 
     def __post_init__(self):
-        self.bias = quantize(np.asarray(self.bias, dtype=np.float64))
+        self.bias = core.quantize(self.bias)
 
     def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
         width = system.schedule.width
@@ -168,8 +162,8 @@ def train(system: core.MetastableSystem, target, config: TrainingConfig | None =
         fixed = wrong[: config.budget - corrections]
         g = out_rows.start + fixed
         delta = config.rate * (target_vec[fixed] - output[fixed]).astype(np.float64)
-        gate.bias[g] = quantize(gate.bias[g] + delta)
-        weights[-1, fixed] = quantize(weights[-1, fixed] + delta[:, None] * state[prev_rows])
+        gate.bias[g] = core.quantize(gate.bias[g] + delta)
+        weights[-1, fixed] = core.quantize(weights[-1, fixed] + delta[:, None] * state[prev_rows])
         corrections += fixed.size
         if fixed.size < wrong.size:
             break

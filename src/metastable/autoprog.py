@@ -3,9 +3,9 @@
 A model-program document captures one system and a step count in a
 line-oriented text format (sections in fixed order: amp, kind, p, states,
 schedule, milieu, update, init, steps, then an optional target). ``parse``
-and ``emit`` convert between the text and a ``Document``; ``interpret`` runs
-the document in process; ``generate`` turns it into a standalone C or Python
-program; ``compile_and_run`` hands generated source to a toolchain; and
+and ``emit`` convert between the text and a ``Document``; ``interpret_text``
+runs the document in process; ``generate`` turns it into a standalone C or
+Python program; ``compile_and_run`` hands generated source to a toolchain; and
 ``verify`` checks that the external route prints exactly what the in-process
 route computes, bit for bit.
 
@@ -70,7 +70,7 @@ class Document:
 
 def format_weight(value: float) -> str:
     """Weights travel as 9-decimal text; grid values survive the round trip."""
-    return "%.9f" % value
+    return "%.*f" % (core.WEIGHT_DECIMALS, value)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -296,7 +296,7 @@ def parse(text: str) -> Document:
         inside = (layer == cols // width + 1) & (layers * width == p)
         wiring = np.zeros((layers - 1, width, width))
         wiring[layer[inside] - 1, rows[inside] % width, cols[inside] % width] = weights[inside]
-        stray = ann.quantize(weights[~inside])
+        stray = core.quantize(weights[~inside])
         bias = np.zeros(p, dtype=np.float64)
         for i, w in biases:
             bias[i] = w
@@ -366,14 +366,9 @@ def emit(doc: Document) -> str:
 # --- interpretation --------------------------------------------------------
 
 
-def interpret(doc: Document) -> np.ndarray:
-    """Run the document in process; returns the (steps+1, count) trajectory."""
-    return core.run(doc.system, doc.steps)
-
-
 def interpret_text(doc: Document) -> str:
     """The trajectory as text, one state line per step, as programs print it."""
-    rows = interpret(doc)
+    rows = core.run(doc.system, doc.steps)
     return "".join(core.render_state(row) + "\n" for row in rows)
 
 

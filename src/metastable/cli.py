@@ -39,9 +39,13 @@ def _pick_seed(args) -> int:
     return seed
 
 
-def _read_model(path: str) -> autoprog.Document:
-    with open(path, encoding="utf-8") as handle:
-        return autoprog.parse(handle.read())
+def _read_text(path: str) -> str:
+    """A file's whole text; bytes that are not UTF-8 raise an error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise MetastableError("%s is not UTF-8 text: %s" % (path, err)) from None
 
 
 def _cmd_ca_run(args) -> int:
@@ -98,7 +102,7 @@ def _cmd_ann_train(args) -> int:
 
 
 def _cmd_codegen(args) -> int:
-    doc = _read_model(args.model)
+    doc = autoprog.parse(_read_text(args.model))
     source = autoprog.generate(doc, args.backend)
     if args.output is None:
         sys.stdout.write(source)
@@ -109,7 +113,7 @@ def _cmd_codegen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = _read_model(args.model)
+    doc = autoprog.parse(_read_text(args.model))
     command = args.toolchain
     if command is None:
         command = autoprog.default_toolchain(args.backend).command
@@ -123,7 +127,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demodulate(args) -> int:
-    system = _read_model(args.model).system
+    system = autoprog.parse(_read_text(args.model)).system
     structural, operational = core.demodulate(system)
     print("structural count %d" % system.count)
     print("structural states %s" % "".join(str(s) for s in system.states))
@@ -145,89 +149,92 @@ def _cmd_demodulate(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and per subcommand the actions of its long flags by name."""
     parser = argparse.ArgumentParser(
         prog="metastable",
         description="Bind, run, search, train, and translate entity populations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    index: dict[str, argparse.ArgumentParser] = {}
+    index: dict[str, dict[str, argparse.Action]] = {}
 
-    def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def sub(name: str, func, help_text: str):
         p = subs.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="file of 'key value' defaults for this subcommand")
-        index[name] = p
-        return p
+        flags = index[name] = {}
 
-    p = sub("ca-run", _cmd_ca_run, "run one rule and print its trajectory")
-    p.add_argument("--rule", type=int, required=True, help="rule number, 0 to 255")
-    p.add_argument("--init", required=True, help="initial state, a string of 0s and 1s")
-    p.add_argument("--steps", type=int, required=True, help="number of steps")
-    p.add_argument("--target", help="compare the final state against this and set the exit code")
+        def flag(option: str, **kwargs) -> None:
+            flags[option[2:]] = p.add_argument(option, **kwargs)
 
-    p = sub("ca-search", _cmd_ca_search, "draw random rules until one hits the target")
-    p.add_argument("--init", required=True, help="initial state")
-    p.add_argument("--target", required=True, help="state the rule should reach")
-    p.add_argument("--steps", type=int, required=True, help="steps between init and target")
-    p.add_argument("--budget", type=int, default=1000, help="attempt budget (default 1000)")
-    p.add_argument("--seed", type=int, help="search seed (default: fresh, echoed to stderr)")
+        flag("--config", help="file of 'key value' defaults for this subcommand")
+        return flag
 
-    p = sub("ca-enumerate", _cmd_ca_enumerate, "try all 256 rules and list the exact hits")
-    p.add_argument("--init", required=True, help="initial state")
-    p.add_argument("--target", required=True, help="state a rule should reach")
-    p.add_argument("--steps", type=int, required=True, help="steps between init and target")
+    flag = sub("ca-run", _cmd_ca_run, "run one rule and print its trajectory")
+    flag("--rule", type=int, required=True, help="rule number, 0 to 255")
+    flag("--init", required=True, help="initial state, a string of 0s and 1s")
+    flag("--steps", type=int, required=True, help="number of steps")
+    flag("--target", help="compare the final state against this and set the exit code")
 
-    p = sub("ann-train", _cmd_ann_train, "fit a layered perceptron system to a target pattern")
-    p.add_argument("--layers", type=int, required=True, help="layer count, input layer included")
-    p.add_argument("--width", type=int, required=True, help="units per layer")
-    p.add_argument("--init", required=True, help="input pattern, width characters of 0s and 1s")
-    p.add_argument("--target", required=True, help="wanted output pattern, width characters")
-    p.add_argument("--rate", type=float, default=0.1, help="learning rate (default 0.1)")
-    p.add_argument("--epochs", type=int, default=200, help="epoch cap (default 200)")
-    p.add_argument("--budget", type=int, default=100000, help="correction cap (default 100000)")
-    p.add_argument("--goal", type=float, default=1.0, help="match that counts as success (default 1.0)")
-    p.add_argument("--seed", type=int, help="weight seed (default: fresh, echoed to stderr)")
+    flag = sub("ca-search", _cmd_ca_search, "draw random rules until one hits the target")
+    flag("--init", required=True, help="initial state")
+    flag("--target", required=True, help="state the rule should reach")
+    flag("--steps", type=int, required=True, help="steps between init and target")
+    flag("--budget", type=int, default=1000, help="attempt budget (default 1000)")
+    flag("--seed", type=int, help="search seed (default: fresh, echoed to stderr)")
 
-    p = sub("codegen", _cmd_codegen, "translate a model program into C or Python source")
-    p.add_argument("--model", required=True, help="model-program file")
-    p.add_argument("--backend", required=True, help="c or python")
-    p.add_argument("--output", help="write source here instead of stdout")
+    flag = sub("ca-enumerate", _cmd_ca_enumerate, "try all 256 rules and list the exact hits")
+    flag("--init", required=True, help="initial state")
+    flag("--target", required=True, help="state a rule should reach")
+    flag("--steps", type=int, required=True, help="steps between init and target")
 
-    p = sub("verify", _cmd_verify, "check a generated program against the interpreter")
-    p.add_argument("--model", required=True, help="model-program file")
-    p.add_argument("--backend", required=True, help="c or python")
-    p.add_argument("--toolchain", help="build-and-run command template; must mention {src}")
+    flag = sub("ann-train", _cmd_ann_train, "fit a layered perceptron system to a target pattern")
+    flag("--layers", type=int, required=True, help="layer count, input layer included")
+    flag("--width", type=int, required=True, help="units per layer")
+    flag("--init", required=True, help="input pattern, width characters of 0s and 1s")
+    flag("--target", required=True, help="wanted output pattern, width characters")
+    flag("--rate", type=float, default=0.1, help="learning rate (default 0.1)")
+    flag("--epochs", type=int, default=200, help="epoch cap (default 200)")
+    flag("--budget", type=int, default=100000, help="correction cap (default 100000)")
+    flag("--goal", type=float, default=1.0, help="match that counts as success (default 1.0)")
+    flag("--seed", type=int, help="weight seed (default: fresh, echoed to stderr)")
+
+    flag = sub("codegen", _cmd_codegen, "translate a model program into C or Python source")
+    flag("--model", required=True, help="model-program file")
+    flag("--backend", required=True, help="c or python")
+    flag("--output", help="write source here instead of stdout")
+
+    flag = sub("verify", _cmd_verify, "check a generated program against the interpreter")
+    flag("--model", required=True, help="model-program file")
+    flag("--backend", required=True, help="c or python")
+    flag("--toolchain", help="build-and-run command template; must mention {src}")
     timeout = autoprog.ToolchainConfig.timeout
-    p.add_argument("--timeout", type=float, default=timeout, help="toolchain timeout in seconds")
+    flag("--timeout", type=float, default=timeout, help="toolchain timeout in seconds")
 
-    p = sub("demodulate", _cmd_demodulate, "split a model program into its two halves")
-    p.add_argument("--model", required=True, help="model-program file")
+    flag = sub("demodulate", _cmd_demodulate, "split a model program into its two halves")
+    flag("--model", required=True, help="model-program file")
 
     return parser, index
 
 
 def _load_config(path: str) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise MetastableError("config line needs a key and a value: %r" % raw.strip())
-            pairs.append((parts[0], parts[1].strip()))
+    for raw in _read_text(path).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise MetastableError("config line needs a key and a value: %r" % raw.strip())
+        pairs.append((parts[0], parts[1].strip()))
     return pairs
 
 
-def _apply_config(argv: list[str], index: dict[str, argparse.ArgumentParser]) -> bool:
-    """Install config-file values as defaults on the chosen subparser."""
+def _apply_config(argv: list[str], index: dict[str, dict[str, argparse.Action]]) -> bool:
+    """Install config-file values as the defaults of the chosen subcommand's flags."""
     if not argv or argv[0] not in index:
         return True
     command = argv[0]
-    subparser = index[command]
-    options = {o[2:]: a for a in subparser._actions for o in a.option_strings if o.startswith("--")}
+    options = index[command]
     path = None
     rest = argv[1:]
     for k, token in enumerate(rest):
@@ -243,23 +250,21 @@ def _apply_config(argv: list[str], index: dict[str, argparse.ArgumentParser]) ->
         return True
     try:
         pairs = _load_config(path)
-    except (OSError, UnicodeDecodeError, MetastableError) as err:
+    except (OSError, MetastableError) as err:
         _fail("cannot read config: %s" % err)
         return False
-    defaults = {}
     for key, value in pairs:
         if key == "config" or key not in options:
             _fail("unknown config key '%s' for %s" % (key, command))
             return False
         action = options[key]
         try:
-            defaults[action.dest] = action.type(value) if action.type else value
+            action.default = action.type(value) if action.type else value
         except ValueError:
             _fail("bad value for config key '%s': %r" % (key, value))
             return False
         # A config value satisfies a required flag.
         action.required = False
-    subparser.set_defaults(**defaults)
     return True
 
 
@@ -275,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
         _fail(str(err))
         return 2
     except (CompileFailed, RunTimeout) as err:

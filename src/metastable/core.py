@@ -215,6 +215,11 @@ def state_vector(given, count: int | None = None, name: str = "state vector") ->
     return vec.astype(np.int64)
 
 
+def quantize(values) -> np.ndarray:
+    """Snap weights to the 9-decimal grid, on which the text form is lossless."""
+    return np.round(np.asarray(values, dtype=np.float64), WEIGHT_DECIMALS)
+
+
 def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, schedule: LayeredSweep, count: int) -> np.ndarray:
     if schedule.layers * schedule.width != count:
         raise BadDimensions(
@@ -228,8 +233,7 @@ def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, schedule: Layere
     shape = (schedule.layers - 1, schedule.width, schedule.width)
     if np.shape(wiring) != shape:  # None has shape ()
         raise DimensionMismatch("wiring has shape %s, expected %s" % (np.shape(wiring), shape))
-    # weights live on a 9-decimal grid so the text form is lossless
-    blocks = np.round(np.asarray(wiring, dtype=np.float64), WEIGHT_DECIMALS)
+    blocks = quantize(wiring)
     if not np.isfinite(blocks).all():
         raise NonFiniteInput("wiring contains non-finite values")
     if bias[: schedule.width].any():

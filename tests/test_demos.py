@@ -1,4 +1,5 @@
-"""Each demo script runs clean and prints something."""
+"""Each demo script runs clean and prints something, and the README's quick
+start runs as written and prints what its comments say."""
 
 import pathlib
 import subprocess
@@ -6,7 +7,11 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+from conftest import TARGET
+from metastable import autoprog
+
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -23,3 +28,18 @@ def test_demo_runs(script):
 
 def test_demos_exist():
     assert len(DEMOS) == 5
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    verify_line = 'print(autoprog.verify(doc, "c").equal)         # True\n'
+    assert verify_line in code
+    with_c = autoprog.toolchain_available("c")
+    if not with_c:  # generating C needs no compiler; only verifying it does
+        code = code.replace(verify_line, "")
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [TARGET, "110 19", "True"]
+    if with_c:
+        assert lines[-1] == "True"
