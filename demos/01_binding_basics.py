@@ -15,16 +15,16 @@ from metastable import ca, core
 
 
 def main():
-    seed = core.parse_state_string("0000001000000")
+    seed = core.state_vector("0000001000000")
     structural = core.Structural(init=seed, current=seed.copy())
     operational = core.Operational(
-        update=ca.RuleTable.from_number(90),
+        update=ca.RuleTable(90),
         wiring=None,  # the ring's neighbours are core.ring_columns(13)
         schedule=core.Synchronous(),
     )
 
     system = core.modulate(structural, operational)
-    print("bound a %d-cell ring under rule %d" % (system.count, 90))
+    print("bound a %d-cell ring under rule %d" % (system.count, system.update.number))
     print("each cell reads %d cells and takes states %s" % (system.fan_in, system.states))
     print()
 

@@ -19,7 +19,7 @@ def main():
 
     for t, row in enumerate(rows):
         text = core.render_state(row)
-        score = core.match(row, core.parse_state_string(TARGET))
+        score = core.match(row, core.state_vector(TARGET))
         print("t=%2d  %s  match %.3f" % (t, text.replace("0", ".").replace("1", "#"), score))
 
     final = core.render_state(rows[-1])

@@ -21,7 +21,7 @@ def main():
 
     before = core.render_state(ann.forward(net)[-31:])
     print("untrained output:  %s  match %.3f"
-          % (before, core.match(core.parse_state_string(before), core.parse_state_string(TARGET))))
+          % (before, core.match(core.state_vector(before), core.state_vector(TARGET))))
 
     trained, report = ann.train(net, TARGET, ann.TrainingConfig(rate=0.1, epochs=200))
     for epoch, score in enumerate(report.history, start=1):

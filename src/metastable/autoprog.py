@@ -41,7 +41,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     NoBackendConfigured,
-    NonFiniteInput,
     OutOfRange,
     ParseError,
     RunTimeout,
@@ -235,7 +234,7 @@ def parse(text: str) -> Document:
         bits = tuple(_int(tok, "table entry", number) for tok in tokens[1:])
         if any(b not in (0, 1) for b in bits):
             raise SemanticError("table entries must be 0 or 1")
-        update: core.UpdateFunction = ca.RuleTable(bits)
+        update: core.UpdateFunction = ca.RuleTable(sum(b << code for code, b in enumerate(bits)))
     else:
         layers = _count(reader, "layers", "layer count")
         width = _count(reader, "width", "layer width")
@@ -296,7 +295,6 @@ def parse(text: str) -> Document:
         inside = (layer == cols // width + 1) & (layers * width == p)
         wiring = np.zeros((layers - 1, width, width))
         wiring[layer[inside] - 1, rows[inside] % width, cols[inside] % width] = weights[inside]
-        stray = core.quantize(weights[~inside])
         bias = np.zeros(p, dtype=np.float64)
         for i, w in biases:
             bias[i] = w
@@ -310,9 +308,7 @@ def parse(text: str) -> Document:
         ring = np.arange(p)[:, None] * p + core.ring_columns(p)
         if not np.array_equal(np.sort(rows * p + cols), np.sort(ring, axis=None)):
             raise UnsupportedKind("milieu is not the ring each cell needs")
-    elif not np.isfinite(stray).all():
-        raise NonFiniteInput("milieu contains non-finite values")
-    elif stray.any():
+    elif core.quantize(weights[~inside]).any():
         raise UnsupportedKind("weights must connect consecutive layers only")
     return Document(system=system, steps=steps, target=target)
 

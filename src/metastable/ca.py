@@ -1,8 +1,8 @@
 """Cellular automata on a ring: each cell reads its two neighbours and itself.
 
-A rule is an 8-entry lookup table indexed by the neighbourhood code
-``4*left + 2*center + right``; the table is packed into a single byte the
-usual way, with bit b of the rule number giving the output for code b.
+A rule is its number, 0 to 255, packed the usual way: bit b of the number
+is the output for the neighbourhood code b = ``4*left + 2*center + right``,
+and ``bits`` lists those eight outputs in code order.
 """
 
 from __future__ import annotations
@@ -19,27 +19,18 @@ RULE_COUNT = 256
 
 @dataclasses.dataclass(frozen=True)
 class RuleTable:
-    """Update function for a ring of cells, driven by an 8-entry bit table."""
+    """Update function for a ring of cells: a rule number read as an 8-entry bit table."""
 
-    bits: tuple[int, ...]
+    number: int
     kind = "ca"
 
     def __post_init__(self):
-        if len(self.bits) != 8:
-            raise OutOfRange("a rule table needs exactly 8 entries, got %d" % len(self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise StateDomainViolation("rule table entries must be 0 or 1")
-        object.__setattr__(self, "_table", np.asarray(self.bits, dtype=np.int64))
-
-    @classmethod
-    def from_number(cls, number: int) -> "RuleTable":
-        if not 0 <= number < RULE_COUNT:
-            raise OutOfRange("rule number must be in [0, 255], got %d" % number)
-        return cls(tuple((number >> code) & 1 for code in range(8)))
+        if not 0 <= self.number < RULE_COUNT:
+            raise OutOfRange("rule number must be in [0, 255], got %d" % self.number)
 
     @property
-    def number(self) -> int:
-        return sum(bit << code for code, bit in enumerate(self.bits))
+    def bits(self) -> tuple[int, ...]:
+        return tuple((self.number >> code) & 1 for code in range(8))
 
     def __call__(self, left: int, center: int, right: int) -> int:
         for v in (left, center, right):
@@ -48,7 +39,7 @@ class RuleTable:
         return self.bits[4 * left + 2 * center + right]
 
     def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
-        full = self._table[ring_codes(system.current[None])[0]]
+        full = (self.number >> ring_codes(system.current[None])[0]) & 1
         return full if active.size == system.count else full[active]
 
 
@@ -59,9 +50,9 @@ def ring_codes(rings: np.ndarray) -> np.ndarray:
     return 4 * ring[:, :-2] + 2 * ring[:, 1:-1] + ring[:, 2:]
 
 
-def make_automaton(rule, init, current=None) -> core.MetastableSystem:
-    """Bind a rule and an initial state string (or vector) into a ring system."""
-    table = rule if isinstance(rule, RuleTable) else RuleTable.from_number(rule)
-    structural = core.Structural(init=init, current=init if current is None else current)
+def make_automaton(rule, init) -> core.MetastableSystem:
+    """Bind a rule (a ``RuleTable`` or its number) and an initial state into a ring system."""
+    table = rule if isinstance(rule, RuleTable) else RuleTable(rule)
+    structural = core.Structural(init=init, current=init)
     operational = core.Operational(update=table, wiring=None, schedule=core.Synchronous())
     return core.modulate(structural, operational)  # modulate reads and copies both vectors

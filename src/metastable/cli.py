@@ -50,12 +50,12 @@ def _read_text(path: str) -> str:
 
 def _cmd_ca_run(args) -> int:
     system = ca.make_automaton(args.rule, args.init)
+    target = None if args.target is None else core.state_vector(args.target, system.count, "target")
     rows = core.run(system, args.steps)
     for row in rows:
         print(core.render_state(row))
-    if args.target is None:
+    if target is None:
         return 0
-    target = core.state_vector(args.target, system.count, "target")
     score = core.match(rows[-1], target)
     print("match %s" % (SCORE % score))
     return 0 if score == 1.0 else 1

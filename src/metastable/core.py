@@ -164,21 +164,13 @@ class MetastableSystem:
     def milieu(self) -> np.ndarray:
         """The dense (count, count) milieu, built afresh on every access."""
         if self.wiring is None:
-            return ring_milieu(self.count)
+            dense = np.zeros((self.count, self.count), dtype=np.int64)
+            np.put_along_axis(dense, ring_columns(self.count), 1, axis=1)
+            return dense
         dense, schedule = np.zeros((self.count, self.count)), self.schedule
         for layer in range(1, schedule.layers):
             dense[schedule.slice_of(layer), schedule.slice_of(layer - 1)] = self.wiring[layer - 1]
         return dense
-
-
-def parse_state_string(text: str) -> np.ndarray:
-    """Turn a string of '0' and '1' characters into a state vector."""
-    if not text:
-        raise EmptyInput("state string is empty")
-    bad = set(text) - {"0", "1"}
-    if bad:
-        raise BadCharacter("state string may only contain 0 and 1, got %r" % sorted(bad)[0])
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("0")
 
 
 def render_state(values: np.ndarray) -> str:
@@ -206,7 +198,14 @@ def state_vector(given, count: int | None = None, name: str = "state vector") ->
 
     It must be 1-D, with ``count`` cells when ``count`` is given. Values are
     checked before the cast, so a fractional state is not truncated."""
-    vec = parse_state_string(given) if isinstance(given, str) else np.asarray(given)
+    if isinstance(given, str):
+        if not given:
+            raise EmptyInput("state string is empty")
+        bad = set(given) - {"0", "1"}
+        if bad:
+            raise BadCharacter("state string may only contain 0 and 1, got %r" % sorted(bad)[0])
+        given = np.frombuffer(given.encode("ascii"), dtype=np.uint8) - ord("0")
+    vec = np.asarray(given)
     if vec.ndim != 1 or count is not None and vec.size != count:
         expected = "1-D" if count is None else "(%d,)" % count
         raise DimensionMismatch("%s has shape %s, expected %s" % (name, vec.shape, expected))
@@ -216,8 +215,16 @@ def state_vector(given, count: int | None = None, name: str = "state vector") ->
 
 
 def quantize(values) -> np.ndarray:
-    """Snap weights to the 9-decimal grid, on which the text form is lossless."""
-    return np.round(np.asarray(values, dtype=np.float64), WEIGHT_DECIMALS)
+    """Snap weights to the 9-decimal grid, on which the text form is lossless.
+
+    NaN and infinities pass through. A finite weight too large to scale onto
+    the grid raises ``OutOfRange``; only such a weight overflows the scaling."""
+    try:
+        with np.errstate(over="raise"):
+            return np.round(np.asarray(values, dtype=np.float64), WEIGHT_DECIMALS)
+    except FloatingPointError:
+        limit = np.finfo(np.float64).max / 10**WEIGHT_DECIMALS
+        raise OutOfRange("a weight beyond %.6g in magnitude does not fit the 9-decimal grid" % limit) from None
 
 
 def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, schedule: LayeredSweep, count: int) -> np.ndarray:
@@ -245,15 +252,6 @@ def ring_columns(count: int) -> np.ndarray:
     """Each cell's neighbours in code order: row i is (i-1, i, i+1), wrapping."""
     cells = np.arange(count)
     return np.stack([(cells - 1) % count, cells, (cells + 1) % count], axis=1)
-
-
-def ring_milieu(count: int) -> np.ndarray:
-    """Adjacency of a ring: row i is nonzero at i-1, i, i+1 (wrapping)."""
-    if count < 3:
-        raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
-    milieu = np.zeros((count, count), dtype=np.int64)
-    np.put_along_axis(milieu, ring_columns(count), 1, axis=1)
-    return milieu
 
 
 def modulate(structural: Structural, operational: Operational) -> MetastableSystem:
@@ -311,8 +309,8 @@ def step(system: MetastableSystem, t: int = 0) -> MetastableSystem:
     return dataclasses.replace(system, current=_next_state(system, t))
 
 
-def _walk(system: MetastableSystem, steps: int, t0: int, record: bool):
-    """Take ``steps`` steps from ``t0``: the final system, and the
+def _walk(system: MetastableSystem, steps: int, record: bool):
+    """Take ``steps`` steps from t = 0: the final system, and the
     (steps+1, count) trajectory when ``record`` is set (else None)."""
     if steps < 0:
         raise OutOfRange("step count must not be negative, got %d" % steps)
@@ -322,17 +320,17 @@ def _walk(system: MetastableSystem, steps: int, t0: int, record: bool):
         out[0] = system.current
     work = dataclasses.replace(system)
     for t in range(steps):
-        work.current = _next_state(work, t0 + t)
+        work.current = _next_state(work, t)
         if record:
             out[t + 1] = work.current
     return work, out
 
 
-def run(system: MetastableSystem, steps: int, t0: int = 0) -> np.ndarray:
+def run(system: MetastableSystem, steps: int) -> np.ndarray:
     """Record ``steps`` steps; returns a (steps+1, count) array starting at ``current``."""
-    return _walk(system, steps, t0, record=True)[1]
+    return _walk(system, steps, record=True)[1]
 
 
-def advance(system: MetastableSystem, steps: int, t0: int = 0) -> MetastableSystem:
+def advance(system: MetastableSystem, steps: int) -> MetastableSystem:
     """Like ``run`` but returns only the final system, recording nothing."""
-    return _walk(system, steps, t0, record=False)[0]
+    return _walk(system, steps, record=False)[0]

@@ -178,7 +178,7 @@ def test_behavioural_properties(capsys):
 
     # order independence of one synchronous step
     cells = rng.integers(0, 2, size=11)
-    table = ca.RuleTable.from_number(int(rng.integers(0, 256)))
+    table = ca.RuleTable(int(rng.integers(0, 256)))
     stepped = core.step(ca.make_automaton(table, cells)).current
     manual = np.zeros(11, dtype=np.int64)
     for i in rng.permutation(11):

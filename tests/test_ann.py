@@ -116,6 +116,16 @@ def test_quantized_weights_survive_text_form(x):
     assert float(core.quantize(q)) == q  # idempotent
 
 
+def test_quantize_rejects_finite_weights_beyond_the_grid():
+    assert np.array_equal(core.quantize([1.7e299, -1.7e299]), [1.7e299, -1.7e299])
+    for big in (1.8e299, -1.8e299, 1e300, np.finfo(np.float64).max):
+        with pytest.raises(OutOfRange):
+            core.quantize([0.5, big])
+    # NaN and infinities pass through for the caller's NonFiniteInput check
+    q = core.quantize([np.nan, np.inf, -np.inf])
+    assert np.isnan(q[0]) and q[1] == np.inf and q[2] == -np.inf
+
+
 # --- construction ----------------------------------------------------------
 
 
@@ -166,6 +176,19 @@ def test_make_network_rejects_a_fractional_pattern():
     with pytest.raises(StateDomainViolation):
         ann.make_network(2, 2, np.array([0.5, 1.0]))
     assert ann.make_network(2, 2, np.array([0.0, 1.0])) == ann.make_network(2, 2, "01")
+
+
+def test_make_network_rejects_finite_weights_beyond_the_grid():
+    for big in (1e300, -1e300):
+        with pytest.raises(OutOfRange):
+            ann.make_network(2, 2, "10", weights=np.full((1, 2, 2), big))
+        with pytest.raises(OutOfRange):
+            ann.make_network(2, 2, "10", bias=[0.0, 0.0, big, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteInput):
+            ann.make_network(2, 2, "10", weights=np.full((1, 2, 2), bad))
+    system = ann.make_network(2, 2, "10", weights=np.full((1, 2, 2), -1.7e299), bias=[0, 0, 1.7e299, 0])
+    assert system.wiring[0, 0, 0] == -1.7e299 and system.update.bias[2] == 1.7e299
 
 
 def test_forward_pass_hand_check():
@@ -285,6 +308,12 @@ def test_train_rejects_wrong_inputs():
         ann.train(system, np.array([0.5, 1.0]))
     with pytest.raises(UnsupportedKind):
         ann.train(ca.make_automaton(110, "010"), "010")
+
+
+def test_train_rejects_a_correction_beyond_the_grid():
+    system = ann.make_network(3, 4, "1010", rng=make_rng(1))
+    with pytest.raises(OutOfRange):
+        ann.train(system, "0110", ann.TrainingConfig(rate=1e300))
 
 
 # --- pinned runs -----------------------------------------------------------

@@ -17,7 +17,6 @@ from metastable.errors import (
     CompileFailed,
     MetastableError,
     NoBackendConfigured,
-    NonFiniteInput,
     OutOfRange,
     ParseError,
     RunTimeout,
@@ -31,7 +30,7 @@ def ca_document(rule=110, init="0010110", steps=3, target=None):
     return autoprog.Document(
         system=ca.make_automaton(rule, init),
         steps=steps,
-        target=None if target is None else core.parse_state_string(target),
+        target=None if target is None else core.state_vector(target),
     )
 
 
@@ -42,7 +41,7 @@ def ann_document(seed=4, layers=3, width=3, steps=None, target=None):
     return autoprog.Document(
         system=system,
         steps=(layers - 1) if steps is None else steps,
-        target=None if target is None else core.parse_state_string(target),
+        target=None if target is None else core.state_vector(target),
     )
 
 
@@ -57,7 +56,7 @@ def ann_document(seed=4, layers=3, width=3, steps=None, target=None):
 )
 @settings(max_examples=40)
 def test_ca_text_round_trip(rule, init, steps, with_target):
-    target = core.parse_state_string(init[::-1]) if with_target else None
+    target = core.state_vector(init[::-1]) if with_target else None
     doc = autoprog.Document(system=ca.make_automaton(rule, init), steps=steps, target=target)
     assert autoprog.parse(autoprog.emit(doc)) == doc
 
@@ -68,7 +67,7 @@ def test_ann_text_round_trip(seed, layers, width, steps):
     rng = make_rng(seed)
     pattern = rng.integers(0, 2, size=width)
     system = ann.make_network(layers, width, pattern, rng=rng)
-    target = core.parse_state_string("1" * width)
+    target = core.state_vector("1" * width)
     doc = autoprog.Document(system=system, steps=steps, target=target)
     assert autoprog.parse(autoprog.emit(doc)) == doc
 
@@ -269,8 +268,8 @@ def test_parse_rejects_weights_off_the_layer_blocks():
     for row, entry in (("row 4: ", "0=0.5 "), ("row 2: ", "4=0.5 ")):
         with pytest.raises(UnsupportedKind):
             autoprog.parse(_swap(text, row, row + entry))
-    # off the blocks, a weight that leaves the grid is non-finite first
-    with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+    # off the blocks, a finite weight too large for the grid is out of range
+    with pytest.raises(OutOfRange):
         autoprog.parse(_swap(text, "row 4: ", "row 4: 0=1e300 "))
 
 
@@ -399,10 +398,14 @@ def test_mutated_documents_parse_or_raise_typed_errors(kind, edits):
 
 def test_interpreter_matches_direct_running():
     doc = ca_document(rule=110, init=INIT, steps=STEPS)
-    rows = core.run(doc.system, doc.steps)
-    assert np.array_equal(rows, core.run(doc.system, STEPS))
+    system = doc.system
+    stepped = [core.render_state(system.current)]
+    for t in range(doc.steps):
+        system = core.step(system, t)
+        stepped.append(core.render_state(system.current))
     text = autoprog.interpret_text(doc)
     lines = text.splitlines()
+    assert lines == stepped
     assert len(lines) == STEPS + 1
     assert lines[0] == INIT
     assert lines[-1] == TARGET

@@ -1,5 +1,7 @@
 """Command line behaviour: grammars, exit codes, seeds, and config files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def reference_model(tmp_path):
     doc = autoprog.Document(
         system=ca.make_automaton(110, INIT),
         steps=STEPS,
-        target=core.parse_state_string(TARGET),
+        target=core.state_vector(TARGET),
     )
     path = tmp_path / "reference.amp"
     path.write_text(autoprog.emit(doc))
@@ -64,6 +66,14 @@ def test_ca_run_exits_one_when_the_target_is_missed(capsys):
     )
     assert code == 1
     assert out.splitlines()[-1] == "match 0.645161290"
+
+
+def test_ca_run_checks_the_target_before_stepping(capsys):
+    argv = ["ca-run", "--rule", "110", "--init", "0100", "--steps", "1000", "--target", "01"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: target has shape (2,), expected (4,)"]
 
 
 def test_ca_run_rejects_bad_rules(capsys):
@@ -240,6 +250,16 @@ def test_ann_train_rejects_a_goal_outside_zero_to_one(capsys, goal):
     assert err.splitlines() == ["error: goal must lie in [0, 1], got %r" % float(goal)]
 
 
+def test_ann_train_rejects_a_rate_that_leaves_the_weight_grid(capsys):
+    # one correction of 1e300 is finite but too large to scale onto the 9-decimal grid
+    argv = ["ann-train", "--layers", "3", "--width", "4", "--init", "1010", "--target", "0110",
+            "--rate", "1e300", "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "9-decimal grid" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -354,7 +374,7 @@ def test_malformed_toolchain_templates_exit_two(capsys, reference_model):
 
 
 def test_big_p_model_exits_two(capsys, tmp_path, reference_model):
-    text = open(reference_model).read().replace("p 31", "p 1000000")
+    text = Path(reference_model).read_text().replace("p 31", "p 1000000")
     path = tmp_path / "big.amp"
     path.write_text(text)
     code, out, err = run_cli(capsys, ["demodulate", "--model", str(path)])

@@ -64,17 +64,17 @@ def test_match_rejects_empty():
 
 @given(binary_strings())
 def test_state_string_round_trip(text):
-    assert core.render_state(core.parse_state_string(text)) == text
+    assert core.render_state(core.state_vector(text)) == text
 
 
-def test_parse_state_string_rejects_bad_characters():
+def test_state_vector_rejects_bad_characters():
     with pytest.raises(BadCharacter):
-        core.parse_state_string("0102")
+        core.state_vector("0102")
 
 
-def test_parse_state_string_rejects_empty():
+def test_state_vector_rejects_empty_strings():
     with pytest.raises(EmptyInput):
-        core.parse_state_string("")
+        core.state_vector("")
 
 
 # --- schedules -------------------------------------------------------------
@@ -354,7 +354,7 @@ def test_synchronous_update_is_order_independent(rule, init):
     """Computing cells one at a time, in any order, matches the vector step."""
     system = ca.make_automaton(rule, init)
     stepped = core.step(system).current
-    table = ca.RuleTable.from_number(rule)
+    table = ca.RuleTable(rule)
     frozen = system.current.copy()
     n = frozen.size
     order = np.random.default_rng(abs(hash(init)) % 2**32).permutation(n)
