@@ -371,11 +371,10 @@ def interpret_text(doc: Document) -> str:
 # --- source generation -----------------------------------------------------
 
 
-def _wrap(values: list[str], per_line: int) -> str:
-    lines = []
-    for start in range(0, len(values), per_line):
-        lines.append("    " + ", ".join(values[start : start + per_line]) + ",")
-    return "\n".join(lines)
+def _wrap(values) -> str:
+    """Int literals, 20 to a line, each followed by a comma."""
+    values = [str(int(v)) for v in values]
+    return "\n".join("    " + ", ".join(values[i : i + 20]) + "," for i in range(0, len(values), 20))
 
 
 def _fields(doc: Document, syntax: dict) -> dict[str, str]:
@@ -385,30 +384,35 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
     the same in C and Python: all entities, or one layer.
     """
 
-    def table(ctype: str, name: str, values) -> str:
-        if ctype == "double":
-            # repr round-trips doubles exactly and reads as a literal in both C and Python
-            literals = _wrap([repr(float(v)) for v in values], 8)
-        else:
-            literals = _wrap([str(int(v)) for v in values], 20)
-        return syntax["table"] % {"ctype": ctype, "name": name, "values": literals}
+    loads = []
+
+    def ints(name: str, values) -> str:
+        return syntax["ints"] % {"name": name, "values": _wrap(values)}
+
+    def doubles(name: str, values) -> str:
+        # float() and strtod both round correctly, so the program reads back each repr as the same double
+        values = [repr(float(v)) for v in values]
+        lines = (syntax["text_line"] % " ".join(values[i : i + 8]) for i in range(0, len(values), 8))
+        fill = {"name": name, "count": len(values), "lines": "\n".join(lines)}
+        loads.append(syntax["load"] % fill)
+        return syntax["doubles"] % fill
 
     system = doc.system
     consts = [("P", system.count), ("STEPS", doc.steps)]
     if system.kind == "ca":
         milieu = ""
         reads = ["cell u reads cells u-1, u and u+1, wrapping"]
-        update = table("int", "TABLE", system.update.bits)
+        update = ints("TABLE", system.update.bits)
         note = ["neighbourhood code 4*left + 2*centre + right, looked up in the rule table"]
         lo, hi = "0", "P"
     else:
         consts += [("LAYERS", system.schedule.layers), ("WIDTH", system.schedule.width)]
-        milieu = table("double", "WEIGHT", system.wiring.ravel())
+        milieu = doubles("WEIGHT", system.wiring.ravel())
         reads = [
             "the layer blocks in order, block l-1 from layer l-1 into layer l: unit u",
             "weighs unit j of the layer before it by WEIGHT[(u - WIDTH) * WIDTH + j]",
         ]
-        update = table("double", "BIAS", system.update.bias)
+        update = doubles("BIAS", system.update.bias)
         note = [
             "input sum: bias plus weighted previous-layer activations, in ascending",
             "entity order; the gate fires at 0.5 and above",
@@ -416,11 +420,12 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
         lo, hi = "(t % (LAYERS - 1) + 1) * WIDTH", "(t % (LAYERS - 1) + 2) * WIDTH"
     return {
         "consts": "\n".join(syntax["const"] % item for item in consts),
-        "init": _wrap([str(int(v)) for v in system.init], 20),
+        "init": _wrap(system.init),
         "reads": syntax["comment_break"].join(reads),
         "milieu": milieu,
         "note": syntax["comment_break"].join(note),
         "update": update,
+        "load": "".join(loads),
         "value": textwrap.indent(syntax["value"][system.kind], "    "),
         "lo": lo,
         "hi": hi,
@@ -428,16 +433,20 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
 
 
 # Each backend once: the source file's suffix and the default toolchain
-# command; how the language writes a constant, a table, and the break in a
-# comment that runs over two lines; value(u)'s body for each kind, which
-# gathers u's inputs from the stored wiring into the neighbourhood code or the
-# input sum and gates it into the new state; and the program template.
+# command; how the language writes a constant, an int table, a double table as
+# text read at start-up, and the break in a comment over two lines; value(u)'s
+# body per kind, which gathers u's inputs from the stored wiring into the
+# neighbourhood code or input sum and gates it into the new state; and the template.
 BACKENDS = {
     "c": {
         "suffix": ".c",
-        "command": "cc -O2 -ffp-contract=off -o {bin} {src} && {bin}",
+        # programs run for milliseconds, so -O2 only lengthens the build; it prints the same doubles
+        "command": "cc -O0 -ffp-contract=off -o {bin} {src} && {bin}",
         "const": "#define %s %d",
-        "table": "static const %(ctype)s %(name)s[] = {\n%(values)s\n};\n",
+        "ints": "static const int %(name)s[] = {\n%(values)s\n};\n",
+        "doubles": "static double %(name)s[%(count)d];\nstatic char *%(name)s_TEXT =\n%(lines)s;\n",
+        "text_line": '    "%s\\n"',
+        "load": "    for (int i = 0; i < %(count)d; i++) %(name)s[i] = strtod(%(name)s_TEXT, &%(name)s_TEXT);\n",
         "comment_break": "\n   ",
         "value": {
             "ca": "return TABLE[4 * act[(u + P - 1) % P] + 2 * act[u] + act[(u + 1) % P]];",
@@ -449,6 +458,7 @@ return s >= 0.5;""",
         "template": """\
 /* structure */
 #include <stdio.h>
+#include <stdlib.h>
 
 %(consts)s
 
@@ -476,7 +486,7 @@ static void show(const int *v) {
 }
 
 int main(void) {
-    show(act);
+%(load)s    show(act);
     for (int t = 0; t < STEPS; t++) {
         int lo = %(lo)s, hi = %(hi)s;
         for (int u = lo; u < hi; u++) next_act[u] = value(u);
@@ -492,7 +502,10 @@ int main(void) {
         # generated programs use only builtins, so skip the site module's start-up
         "command": shlex.quote(sys.executable) + " -S {src}",
         "const": "%s = %d",
-        "table": "%(name)s = [\n%(values)s\n]\n",
+        "ints": "%(name)s = [\n%(values)s\n]\n",
+        "doubles": '%(name)s = list(map(float, """\n%(lines)s\n""".split()))\n',
+        "text_line": "    %s",
+        "load": "",
         "comment_break": "\n# ",
         "value": {
             "ca": "return TABLE[4 * act[(u + P - 1) % P] + 2 * act[u] + act[(u + 1) % P]]",

@@ -8,6 +8,7 @@ and ``bits`` lists those eight outputs in code order.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -25,8 +26,8 @@ class RuleTable:
     kind = "ca"
 
     def __post_init__(self):
-        if not 0 <= self.number < RULE_COUNT:
-            raise OutOfRange("rule number must be in [0, 255], got %d" % self.number)
+        if not (isinstance(self.number, numbers.Integral) and 0 <= self.number < RULE_COUNT):
+            raise OutOfRange("rule number must be an integer in [0, 255], got %r" % (self.number,))
 
     @property
     def bits(self) -> tuple[int, ...]:

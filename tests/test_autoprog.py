@@ -1,8 +1,8 @@
 """Model-program text form, interpreter, generated sources, and toolchains."""
 
-import ast
 import dataclasses
 import os
+import re
 import time
 import tracemalloc
 
@@ -445,19 +445,29 @@ def test_generated_programs_read_the_stored_wiring():
         for backend in autoprog.BACKENDS:
             source = autoprog.generate(doc, backend)
             assert "ROW_START" not in source and "COL_INDEX" not in source
+    # a net's doubles are decimal text, each value's repr in block order, read at start-up
     system = ann_document(layers=4, width=3).system
-    source = autoprog.generate(autoprog.Document(system=system, steps=3), "python")
-    (weight,) = [
-        node.value
-        for node in ast.parse(source).body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WEIGHT"
-    ]
-    assert ast.literal_eval(weight) == system.wiring.ravel().tolist()
+    values = system.wiring.ravel().tolist()
+    doc = autoprog.Document(system=system, steps=3)
+    blocks = {"python": r'WEIGHT = list\(map\(float, """(.*?)"""', "c": r"WEIGHT_TEXT =(.*?);"}
+    for backend, block in blocks.items():
+        text = re.search(block, autoprog.generate(doc, backend), re.S)[1]
+        tokens = text.replace("\\n", " ").replace('"', " ").split()
+        assert tokens == [repr(v) for v in values]
+        assert [float(token) for token in tokens] == values
 
 
 def test_default_python_toolchain_skips_site_imports():
     # generated programs use only builtins, so the interpreter starts without site
     assert autoprog.default_toolchain("python").command.endswith(" -S {src}")
+
+
+def test_default_c_toolchain_builds_at_o0_without_fp_contraction():
+    # programs run for milliseconds, so the build is not optimised; fused
+    # multiply-adds would round differently from the interpreter's sums
+    command = autoprog.default_toolchain("c").command.split()
+    assert "-O0" in command and "-ffp-contract=off" in command
+    assert not any(flag.startswith("-O") and flag != "-O0" for flag in command)
 
 
 # --- toolchain -------------------------------------------------------------
@@ -584,6 +594,35 @@ def test_c_backend_agrees_with_the_interpreter():
     for doc in _backend_documents():
         report = autoprog.verify(doc, "c")
         assert report.equal, (autoprog.emit(doc), report.mismatch_line)
+
+
+# weights where a sum sits on the gate's threshold, next to it, or far past it
+EDGE_WEIGHTS = (0.5, -0.5, 0.499999999, -0.499999999, 1e-9, -1e-9, -0.0, 0.0, 1.7e299, -1.7e299)
+
+
+@st.composite
+def edge_weight_documents(draw):
+    layers, width = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    units = (layers - 1) * width  # every unit past the input layer
+    pool = st.sampled_from(EDGE_WEIGHTS)
+    weights = np.reshape(draw(st.lists(pool, min_size=units * width, max_size=units * width)), (-1, width, width))
+    bias = [0.0] * width + draw(st.lists(pool, min_size=units, max_size=units))
+    pattern = draw(st.text(alphabet="01", min_size=width, max_size=width))
+    system = ann.make_network(layers, width, pattern, weights=weights, bias=bias)
+    return autoprog.Document(system=system, steps=draw(st.integers(0, 2 * layers)))
+
+
+@given(edge_weight_documents())
+@settings(max_examples=40, deadline=None)
+def test_python_backend_agrees_on_edge_case_weights(doc):
+    assert autoprog.verify(autoprog.parse(autoprog.emit(doc)), "python").equal
+
+
+@pytest.mark.skipif(not autoprog.toolchain_available("c"), reason="no C toolchain")
+@given(edge_weight_documents())
+@settings(max_examples=10, deadline=None)
+def test_c_backend_agrees_on_edge_case_weights(doc):
+    assert autoprog.verify(autoprog.parse(autoprog.emit(doc)), "c").equal
 
 
 def test_verify_surfaces_wrong_programs():

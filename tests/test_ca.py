@@ -34,6 +34,10 @@ def test_table_rejects_bad_input():
         ca.RuleTable(256)
     with pytest.raises(OutOfRange):
         ca.RuleTable(-1)
+    for number in (3.5, "30", None):  # not an integer: typed at once, not at the first step
+        with pytest.raises(OutOfRange):
+            ca.make_automaton(number, "0110")
+    assert ca.RuleTable(np.int64(30)).bits == ca.RuleTable(30).bits
     with pytest.raises(StateDomainViolation):
         ca.RuleTable(110)(0, 2, 0)
 
