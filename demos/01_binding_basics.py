@@ -1,12 +1,12 @@
 """Build a system from its two halves, step it, and take it apart again.
 
 A runnable system is a pair: a structural half (where the entities start)
-and an operational half (the update function, the wiring between entities,
-the schedule). A ring's wiring is None: each cell reads itself and its two
+and an operational half (the update function and the wiring between
+entities). A ring's wiring is None: each cell reads itself and its two
 neighbours, so there is nothing to spell out. `modulate` binds the two into
 something you can run; `demodulate` splits a running system back into the
 same two halves. What follows from the halves (the entity count, the state
-alphabet, the fan-in) is read off the bound system.
+alphabet, the fan-in, the schedule) is read off the bound system.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ def main():
     operational = core.Operational(
         update=ca.RuleTable(90),
         wiring=None,  # the ring's neighbours are core.ring_columns(13)
-        schedule=core.Synchronous(),
     )
 
     system = core.modulate(structural, operational)

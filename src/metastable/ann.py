@@ -15,16 +15,9 @@ import math
 import numpy as np
 
 from . import core
-from .errors import NonFiniteInput, OutOfRange, UnsupportedKind
+from .errors import OutOfRange, UnsupportedKind
 
 THRESHOLD = 0.5
-
-
-def threshold_activation(value: float) -> int:
-    """1 when the input sum reaches the threshold, 0 below it."""
-    if not math.isfinite(value):
-        raise NonFiniteInput("input sum is not finite: %r" % value)
-    return 1 if value >= THRESHOLD else 0
 
 
 @dataclasses.dataclass
@@ -45,15 +38,14 @@ class ThresholdGate:
     def __post_init__(self):
         self.bias = core.quantize(self.bias)
 
-    def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
-        width = system.schedule.width
-        prev = slice(int(active[0]) - width, int(active[0]))
+    def propagate(self, system: core.MetastableSystem, active: slice) -> np.ndarray:
+        lo, width = active.start, system.wiring.shape[1]
         # columns [bias | w*x] summed strictly left to right: add.accumulate
         # is sequential where np.sum would pair terms up
-        terms = np.empty((active.size, width + 1))
+        terms = np.empty((width, width + 1))
         terms[:, 0] = self.bias[active]
-        # block l-1 holds the weights into layer l, and ``active`` is that layer in order
-        np.multiply(system.wiring[prev.stop // width - 1], system.current[prev], out=terms[:, 1:])
+        # block l-1 holds the weights into layer l, and ``active`` is layer l
+        np.multiply(system.wiring[lo // width - 1], system.current[lo - width : lo], out=terms[:, 1:])
         return (np.add.accumulate(terms, axis=1)[:, -1] >= THRESHOLD).astype(np.int64)
 
 
@@ -66,7 +58,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     from [-1, 1) with ``rng`` (layer by layer, weights before bias), or left
     at zero.
     """
-    schedule = core.LayeredSweep(layers=layers, width=width)  # checks both counts
+    core.LayeredSweep(layers, width)  # checks both counts before any array is sized
     count = layers * width
     init = np.zeros(count, dtype=np.int64)
     init[:width] = core.state_vector(pattern, width, "input pattern")
@@ -83,14 +75,14 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
 
     structural = core.Structural(init=init, current=init.copy())
     # modulate and ThresholdGate put weights and bias on the text form's grid
-    operational = core.Operational(update=ThresholdGate(bias=bias), wiring=weights, schedule=schedule)
+    operational = core.Operational(update=ThresholdGate(bias=bias), wiring=weights)
     return core.modulate(structural, operational)
 
 
 def forward(system: core.MetastableSystem) -> np.ndarray:
     """One full sweep from the initial state; returns the final full state."""
     fresh = dataclasses.replace(system, current=system.init.copy())
-    return core.advance(fresh, system.schedule.layers - 1).current
+    return core.advance(fresh, len(system.wiring)).current  # a step per weight block
 
 
 @dataclasses.dataclass(frozen=True)

@@ -205,14 +205,13 @@ def parse(text: str) -> Document:
     number, tokens = reader.take("'schedule' line")
     if tokens[0] != "schedule":
         raise ParseError("expected 'schedule', got '%s'" % tokens[0], number)
+    # a ring's line is checked against its kind just before binding
     if tokens[1:] == ["synchronous"]:
-        schedule: core.Schedule = core.Synchronous()
+        layered = None
     elif len(tokens) == 4 and tokens[1] == "layered":
-        layers = _int(tokens[2], "layer count", number)
-        width = _int(tokens[3], "layer width", number)
-        if layers < 2 or width < 1:
+        layered = (_int(tokens[2], "layer count", number), _int(tokens[3], "layer width", number))
+        if layered[0] < 2 or layered[1] < 1:
             raise SemanticError("layered schedules need layers >= 2 and width >= 1")
-        schedule = core.LayeredSweep(layers=layers, width=width)
     else:
         raise ParseError("schedule is 'synchronous' or 'layered <layers> <width>'", number)
 
@@ -238,10 +237,7 @@ def parse(text: str) -> Document:
     else:
         layers = _count(reader, "layers", "layer count")
         width = _count(reader, "width", "layer width")
-        if not isinstance(schedule, core.LayeredSweep) or (layers, width) != (
-            schedule.layers,
-            schedule.width,
-        ):
+        if (layers, width) != layered:
             raise SemanticError("update section disagrees with the schedule line")
         (strategy,) = _scalar(reader, "strategy")
         if strategy != "threshold":
@@ -277,7 +273,7 @@ def parse(text: str) -> Document:
     item = reader.peek()
     if item is not None and item[1][0] == "target":
         (target_text,) = _scalar(reader, "target")
-        goal_len = p if kind == "ca" else schedule.width
+        goal_len = p if kind == "ca" else width
         target = _state_vector(target_text, goal_len, "target")
 
     item = reader.peek()
@@ -290,7 +286,7 @@ def parse(text: str) -> Document:
     if kind == "ann":
         # block l-1 holds the weights from layer l-1 into layer l; any other
         # entry must round to 0 on the weight grid, and is then dropped. When
-        # the layers do not make p, nothing is placed: modulate raises BadDimensions.
+        # the layers do not make p, nothing is placed: modulate raises DimensionMismatch.
         layer, weights = rows // width, np.array(weights)
         inside = (layer == cols // width + 1) & (layers * width == p)
         wiring = np.zeros((layers - 1, width, width))
@@ -300,8 +296,10 @@ def parse(text: str) -> Document:
             bias[i] = w
         update = ann.ThresholdGate(bias=bias)
 
+    if kind == "ca" and layered is not None:
+        raise UnsupportedKind("cell populations update synchronously")
     structural = core.Structural(init=init, current=init.copy())
-    operational = core.Operational(update=update, wiring=wiring, schedule=schedule)
+    operational = core.Operational(update=update, wiring=wiring)
     system = core.modulate(structural, operational)  # a ring has at least 3 cells past here
     if kind == "ca":
         # the whole ring at once: every entry as row*p + col, in ascending order
@@ -328,11 +326,7 @@ def emit(doc: Document) -> str:
         "states 01",
     ]
     schedule = system.schedule
-    if isinstance(schedule, core.Synchronous):
-        lines.append("schedule synchronous")
-    else:
-        lines.append("schedule layered %d %d" % (schedule.layers, schedule.width))
-    lines.append("milieu:")
+    lines += [schedule_line(schedule), "milieu:"]
     if system.kind == "ca":
         rows = [" ".join(map(str, row)) for row in np.sort(core.ring_columns(system.count), axis=1).tolist()]
     else:
@@ -357,6 +351,13 @@ def emit(doc: Document) -> str:
     if doc.target is not None:
         lines.append("target %s" % core.render_state(doc.target))
     return "\n".join(lines) + "\n"
+
+
+def schedule_line(schedule: core.Schedule) -> str:
+    """The text form's ``schedule`` line, which ``demodulate`` prints too."""
+    if isinstance(schedule, core.Synchronous):
+        return "schedule synchronous"
+    return "schedule layered %d %d" % (schedule.layers, schedule.width)
 
 
 # --- interpretation --------------------------------------------------------
@@ -406,7 +407,8 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
         note = ["neighbourhood code 4*left + 2*centre + right, looked up in the rule table"]
         lo, hi = "0", "P"
     else:
-        consts += [("LAYERS", system.schedule.layers), ("WIDTH", system.schedule.width)]
+        schedule = system.schedule
+        consts += [("LAYERS", schedule.layers), ("WIDTH", schedule.width)]
         milieu = doubles("WEIGHT", system.wiring.ravel())
         reads = [
             "the layer blocks in order, block l-1 from layer l-1 into layer l: unit u",
@@ -614,7 +616,6 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
             shell=True,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
             start_new_session=True,
         ) as proc:
             try:
@@ -623,6 +624,8 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
                 raise RunTimeout("toolchain exceeded %.1fs" % config.timeout) from None
+        # decoded as printed: no newline translation, and a byte that is not UTF-8 becomes U+FFFD
+        stdout, stderr = (out.decode("utf-8", errors="replace") for out in (stdout, stderr))
         if proc.returncode != 0:
             raise CompileFailed(
                 "toolchain exited with status %d" % proc.returncode,

@@ -13,7 +13,7 @@ import numbers
 import numpy as np
 
 from . import core
-from .errors import OutOfRange, StateDomainViolation
+from .errors import OutOfRange
 
 RULE_COUNT = 256
 
@@ -33,15 +33,8 @@ class RuleTable:
     def bits(self) -> tuple[int, ...]:
         return tuple((self.number >> code) & 1 for code in range(8))
 
-    def __call__(self, left: int, center: int, right: int) -> int:
-        for v in (left, center, right):
-            if v not in (0, 1):
-                raise StateDomainViolation("cell states must be 0 or 1, got %r" % (v,))
-        return self.bits[4 * left + 2 * center + right]
-
-    def propagate(self, system: core.MetastableSystem, active: np.ndarray) -> np.ndarray:
-        full = (self.number >> ring_codes(system.current[None])[0]) & 1
-        return full if active.size == system.count else full[active]
+    def propagate(self, system: core.MetastableSystem, active: slice) -> np.ndarray:
+        return ((self.number >> ring_codes(system.current[None])[0]) & 1)[active]
 
 
 def ring_codes(rings: np.ndarray) -> np.ndarray:
@@ -55,5 +48,5 @@ def make_automaton(rule, init) -> core.MetastableSystem:
     """Bind a rule (a ``RuleTable`` or its number) and an initial state into a ring system."""
     table = rule if isinstance(rule, RuleTable) else RuleTable(rule)
     structural = core.Structural(init=init, current=init)
-    operational = core.Operational(update=table, wiring=None, schedule=core.Synchronous())
+    operational = core.Operational(update=table, wiring=None)
     return core.modulate(structural, operational)  # modulate reads and copies both vectors

@@ -134,11 +134,7 @@ def _cmd_demodulate(args) -> int:
     print("structural init %s" % core.render_state(structural.init))
     print("structural current %s" % core.render_state(structural.current))
     print("operational kind %s" % system.kind)
-    schedule = operational.schedule
-    if isinstance(schedule, core.Synchronous):
-        print("operational schedule synchronous")
-    else:
-        print("operational schedule layered %d %d" % (schedule.layers, schedule.width))
+    print("operational %s" % autoprog.schedule_line(system.schedule))
     print("operational fan-in %d" % system.fan_in)
     if system.kind == "ca":
         print("operational update table %s" % " ".join(str(b) for b in operational.update.bits))

@@ -2,11 +2,12 @@
 
 A system description has two halves. The structural half says what the
 population is: its initial and current state vectors. The operational half
-says how it evolves: the update function, the milieu wiring entities
-together, and the schedule choosing who fires at each step. What follows
-from these is read off a bound system, not given: its kind (the update's),
-its entity count (the size of ``init``), its state alphabet (always
-``BINARY``) and its fan-in. The milieu travels as ``wiring``,
+says how it evolves: the update function and the milieu wiring entities
+together. What follows from these is read off a bound system, not given:
+its kind (the update's), its entity count (the size of ``init``), its state
+alphabet (always ``BINARY``), its fan-in, and its schedule, which chooses the
+range of entities ``[lo, hi)`` that fires at each step: all of a ring's
+cells, or one layer of a net. The milieu travels as ``wiring``,
 in the form its kind steps through: ``None`` for a ring, whose neighbours
 are ``ring_columns(count)``, and a net's (layers-1, width, width) weight
 blocks, block l-1 running from layer l-1 into layer l.
@@ -48,8 +49,8 @@ class UpdateFunction(Protocol):
 
     kind: str
 
-    def propagate(self, system: "MetastableSystem", active: np.ndarray) -> np.ndarray:
-        """Return new states for the entities listed in ``active``."""
+    def propagate(self, system: "MetastableSystem", active: slice) -> np.ndarray:
+        """Return new states for the entities in ``active``, a ``[lo, hi)`` slice."""
         ...
 
 
@@ -57,8 +58,8 @@ class UpdateFunction(Protocol):
 class Synchronous:
     """Every entity updates at every step."""
 
-    def active(self, t: int, count: int) -> np.ndarray:
-        return np.arange(count)
+    def active(self, t: int, count: int) -> slice:
+        return slice(0, count)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,15 +80,11 @@ class LayeredSweep:
         if self.width < 1:
             raise BadDimensions("need width of at least 1, got %d" % self.width)
 
-    def layer_at(self, t: int) -> int:
-        return (t % (self.layers - 1)) + 1
-
     def slice_of(self, layer: int) -> slice:
         return slice(layer * self.width, (layer + 1) * self.width)
 
-    def active(self, t: int, count: int) -> np.ndarray:
-        start = self.layer_at(t) * self.width
-        return np.arange(start, start + self.width)
+    def active(self, t: int, count: int) -> slice:
+        return self.slice_of(t % (self.layers - 1) + 1)
 
 
 Schedule = Synchronous | LayeredSweep
@@ -121,11 +118,10 @@ class Structural:
 
 @dataclasses.dataclass
 class Operational:
-    """How the population evolves: rule, wiring, schedule."""
+    """How the population evolves: rule and wiring."""
 
     update: UpdateFunction
     wiring: np.ndarray | None
-    schedule: Schedule
 
     __eq__ = fields_equal
 
@@ -139,7 +135,6 @@ class MetastableSystem:
 
     update: UpdateFunction
     wiring: np.ndarray | None
-    schedule: Schedule
     init: np.ndarray
     current: np.ndarray
 
@@ -158,7 +153,14 @@ class MetastableSystem:
     @property
     def fan_in(self) -> int:
         """Inputs per update: a cell and its two neighbours, or a unit's bias and previous layer."""
-        return 3 if self.wiring is None else self.schedule.width + 1
+        return 3 if self.wiring is None else self.wiring.shape[1] + 1
+
+    @property
+    def schedule(self) -> Schedule:
+        """Read off the wiring: a ring's cells all update at once, a net's blocks make its layers."""
+        if self.wiring is None:
+            return Synchronous()
+        return LayeredSweep(len(self.wiring) + 1, self.wiring.shape[1])
 
     @property
     def milieu(self) -> np.ndarray:
@@ -227,23 +229,25 @@ def quantize(values) -> np.ndarray:
         raise OutOfRange("a weight beyond %.6g in magnitude does not fit the 9-decimal grid" % limit) from None
 
 
-def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, schedule: LayeredSweep, count: int) -> np.ndarray:
-    if schedule.layers * schedule.width != count:
-        raise BadDimensions(
-            "%d layers of width %d need %d entities, got %d"
-            % (schedule.layers, schedule.width, schedule.layers * schedule.width, count)
+def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, count: int) -> np.ndarray:
+    shape = np.shape(wiring)  # None has shape ()
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise DimensionMismatch("wiring has shape %s, expected (layers-1, width, width)" % (shape,))
+    layers, width = shape[0] + 1, shape[1]
+    LayeredSweep(layers, width)  # checks both counts
+    if layers * width != count:
+        raise DimensionMismatch(
+            "wiring has shape %s: %d layers of width %d make %d entities, not %d"
+            % (shape, layers, width, layers * width, count)
         )
     if bias.shape != (count,):
         raise DimensionMismatch("bias has shape %s, expected (%d,)" % (bias.shape, count))
     if not np.isfinite(bias).all():
         raise NonFiniteInput("bias contains non-finite values")
-    shape = (schedule.layers - 1, schedule.width, schedule.width)
-    if np.shape(wiring) != shape:  # None has shape ()
-        raise DimensionMismatch("wiring has shape %s, expected %s" % (np.shape(wiring), shape))
     blocks = quantize(wiring)
     if not np.isfinite(blocks).all():
         raise NonFiniteInput("wiring contains non-finite values")
-    if bias[: schedule.width].any():
+    if bias[:width].any():
         raise UnsupportedKind("input-layer entities cannot carry a bias")
     return blocks
 
@@ -264,41 +268,32 @@ def modulate(structural: Structural, operational: Operational) -> MetastableSyst
 
     update = operational.update
     kind = update.kind
-    schedule = operational.schedule
     if kind == "ca":
-        if not isinstance(schedule, Synchronous):
-            raise UnsupportedKind("cell populations update synchronously")
         if count < 3:
             raise TooFewEntities("a ring needs at least 3 entities, got %d" % count)
         if operational.wiring is not None:
             raise UnsupportedKind("a ring's wiring is None: its neighbours are ring_columns(count)")
         wiring = None
     elif kind == "ann":
-        if not isinstance(schedule, LayeredSweep):
-            raise UnsupportedKind("perceptron populations update one layer per step")
-        wiring = _check_layered(operational.wiring, update.bias, schedule, count)
+        wiring = _check_layered(operational.wiring, update.bias, count)
     else:
         raise UnsupportedKind("unknown system kind %r" % kind)
 
-    return MetastableSystem(update=update, wiring=wiring, schedule=schedule, init=init, current=current)
+    return MetastableSystem(update=update, wiring=wiring, init=init, current=current)
 
 
 def demodulate(system: MetastableSystem) -> tuple[Structural, Operational]:
     """Split a bound system back into independent structural and operational halves."""
     structural = Structural(init=system.init.copy(), current=system.current.copy())
     wiring = None if system.wiring is None else system.wiring.copy()
-    return structural, Operational(update=system.update, wiring=wiring, schedule=system.schedule)
+    return structural, Operational(update=system.update, wiring=wiring)
 
 
-def _next_state(system: MetastableSystem, t: int) -> np.ndarray:
-    """One step's resulting state vector, freshly allocated."""
-    count = system.count
-    active = system.schedule.active(t, count)
+def _next_state(system: MetastableSystem, active: slice) -> np.ndarray:
+    """The state vector after the entities in ``active`` update, freshly allocated."""
     values = system.update.propagate(system, active)
     if not _binary(values):
         raise UpdateDomainViolation("update produced values outside %s" % (system.states,))
-    if active.size == count:
-        return values
     nxt = system.current.copy()
     nxt[active] = values
     return nxt
@@ -306,7 +301,7 @@ def _next_state(system: MetastableSystem, t: int) -> np.ndarray:
 
 def step(system: MetastableSystem, t: int = 0) -> MetastableSystem:
     """Advance one step: scheduled entities update, the rest carry over."""
-    return dataclasses.replace(system, current=_next_state(system, t))
+    return dataclasses.replace(system, current=_next_state(system, system.schedule.active(t, system.count)))
 
 
 def _walk(system: MetastableSystem, steps: int, record: bool):
@@ -318,9 +313,9 @@ def _walk(system: MetastableSystem, steps: int, record: bool):
     if record:
         out = np.empty((steps + 1, system.count), dtype=np.int64)
         out[0] = system.current
-    work = dataclasses.replace(system)
+    work, schedule, count = dataclasses.replace(system), system.schedule, system.count
     for t in range(steps):
-        work.current = _next_state(work, t)
+        work.current = _next_state(work, schedule.active(t, count))
         if record:
             out[t + 1] = work.current
     return work, out

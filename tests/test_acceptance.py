@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import INIT, STEPS, TARGET, make_rng
+from conftest import INIT, STEPS, TARGET, make_rng, rule_lookup, threshold_activation
 from metastable import ann, autoprog, ca, cli, core, search
 
 BUDGET = 5000
@@ -182,7 +182,7 @@ def test_behavioural_properties(capsys):
     stepped = core.step(ca.make_automaton(table, cells)).current
     manual = np.zeros(11, dtype=np.int64)
     for i in rng.permutation(11):
-        manual[i] = table(int(cells[(i - 1) % 11]), int(cells[i]), int(cells[(i + 1) % 11]))
+        manual[i] = rule_lookup(table, int(cells[(i - 1) % 11]), int(cells[i]), int(cells[(i + 1) % 11]))
     ok = ok and np.array_equal(manual, stepped)
 
     # shift equivariance
@@ -195,7 +195,7 @@ def test_behavioural_properties(capsys):
         ok = ok and np.array_equal(a, b)
 
     # the gate fires exactly at the threshold
-    ok = ok and ann.threshold_activation(0.5) == 1 and ann.threshold_activation(0.499999999) == 0
+    ok = ok and threshold_activation(0.5) == 1 and threshold_activation(0.499999999) == 0
 
     # corrections do nothing when the output already agrees or the rate is 0
     net = ann.make_network(2, 3, "101", rng=make_rng(1))

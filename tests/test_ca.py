@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INIT, RULE_110_BITS, STEP1, STEPS, TARGET
+from conftest import INIT, RULE_110_BITS, STEP1, STEPS, TARGET, rule_lookup
 from metastable import ca, core
 from metastable.errors import OutOfRange, StateDomainViolation
 
@@ -22,11 +22,11 @@ def test_rule_110_table_is_pinned():
 def test_table_lookup_uses_the_packed_bit_convention():
     table = ca.RuleTable(110)
     # neighbourhood (left, center, right) -> bit 4*l + 2*c + r of the number
-    assert table(0, 0, 0) == 0
-    assert table(0, 0, 1) == 1
-    assert table(0, 1, 1) == 1
-    assert table(1, 1, 0) == 1
-    assert table(1, 1, 1) == 0
+    assert rule_lookup(table, 0, 0, 0) == 0
+    assert rule_lookup(table, 0, 0, 1) == 1
+    assert rule_lookup(table, 0, 1, 1) == 1
+    assert rule_lookup(table, 1, 1, 0) == 1
+    assert rule_lookup(table, 1, 1, 1) == 0
 
 
 def test_table_rejects_bad_input():
@@ -39,7 +39,7 @@ def test_table_rejects_bad_input():
             ca.make_automaton(number, "0110")
     assert ca.RuleTable(np.int64(30)).bits == ca.RuleTable(30).bits
     with pytest.raises(StateDomainViolation):
-        ca.RuleTable(110)(0, 2, 0)
+        rule_lookup(ca.RuleTable(110), 0, 2, 0)
 
 
 def test_ring_system_milieu_shape():
@@ -106,5 +106,5 @@ def test_propagation_respects_the_ring(rule, init):
     stepped = core.step(ca.make_automaton(table, cells)).current
     n = cells.size
     for i in range(n):
-        want = table(int(cells[(i - 1) % n]), int(cells[i]), int(cells[(i + 1) % n]))
+        want = rule_lookup(table, int(cells[(i - 1) % n]), int(cells[i]), int(cells[(i + 1) % n]))
         assert stepped[i] == want

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import INIT, STEPS, TARGET, make_rng
 from metastable import ann, autoprog, ca, cli, core
+from metastable.errors import UnsupportedKind
 
 
 def run_cli(capsys, argv):
@@ -23,6 +24,15 @@ def reference_model(tmp_path):
         target=core.state_vector(TARGET),
     )
     path = tmp_path / "reference.amp"
+    path.write_text(autoprog.emit(doc))
+    return str(path)
+
+
+@pytest.fixture
+def readme_ring(tmp_path):
+    """The README's ring: rule 110 on 00100, whose rows are 00100 01100 11100 10101."""
+    doc = autoprog.Document(system=ca.make_automaton(110, "00100"), steps=3, target=core.state_vector("11101"))
+    path = tmp_path / "ring.amp"
     path.write_text(autoprog.emit(doc))
     return str(path)
 
@@ -335,6 +345,25 @@ def test_verify_reports_mismatches(capsys, reference_model):
     assert out.strip() == "mismatch line 1"
 
 
+def test_verify_compares_line_endings_byte_for_byte(capsys, readme_ring):
+    base = ["verify", "--model", readme_ring, "--backend", "python", "--toolchain"]
+    code, out, err = run_cli(capsys, base + [r"printf '00100\n01100\n11100\n10101\n' # {src}"])
+    assert (code, out) == (0, "equal\n")
+    # the same rows ended by \r\n, then by a bare \r
+    for rows in (r"00100\r\n01100\r\n11100\r\n10101\r\n", r"00100\r01100\r11100\r10101\r"):
+        code, out, err = run_cli(capsys, base + ["printf '%s' # {src}" % rows])
+        assert (code, out, err) == (1, "mismatch line 1\n", "")
+
+
+def test_verify_reports_output_that_is_not_utf8_as_a_mismatch(capsys, readme_ring):
+    command = r"printf '\377\n' # {src}"
+    assert autoprog.compile_and_run("", autoprog.ToolchainConfig(command)) == "\ufffd\n"
+    code, out, err = run_cli(
+        capsys, ["verify", "--model", readme_ring, "--backend", "python", "--toolchain", command]
+    )
+    assert (code, out, err) == (1, "mismatch line 1\n", "")
+
+
 def test_verify_toolchain_failures_exit_three(capsys, reference_model):
     code, out, err = run_cli(
         capsys,
@@ -404,6 +433,17 @@ def test_demodulate_layered_model(capsys, layered_model):
     assert "operational schedule layered 3 3" in lines
     assert "operational fan-in 4" in lines
     assert "operational update threshold" in lines
+
+
+def test_a_ring_document_with_a_layered_schedule_exits_two(capsys, tmp_path, readme_ring):
+    text = Path(readme_ring).read_text().replace("schedule synchronous", "schedule layered 5 1")
+    with pytest.raises(UnsupportedKind, match="^cell populations update synchronously$"):
+        autoprog.parse(text)
+    path = tmp_path / "layered_ring.amp"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["demodulate", "--model", str(path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: cell populations update synchronously"]
 
 
 # --- config files ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INIT, make_rng
+from conftest import INIT, make_rng, rule_lookup, threshold_activation
 from metastable import ann, ca, core
 from metastable.errors import (
     BadCharacter,
@@ -82,15 +82,15 @@ def test_state_vector_rejects_empty_strings():
 
 def test_synchronous_covers_everyone():
     sched = core.Synchronous()
-    assert np.array_equal(sched.active(0, 5), np.arange(5))
-    assert np.array_equal(sched.active(17, 5), np.arange(5))
+    assert sched.active(0, 5) == slice(0, 5)
+    assert sched.active(17, 5) == slice(0, 5)
 
 
 def test_layered_sweep_cycles_over_non_input_layers():
     sched = core.LayeredSweep(layers=4, width=3)
-    assert [sched.layer_at(t) for t in range(7)] == [1, 2, 3, 1, 2, 3, 1]
-    assert np.array_equal(sched.active(0, 12), np.array([3, 4, 5]))
-    assert np.array_equal(sched.active(2, 12), np.array([9, 10, 11]))
+    assert [sched.active(t, 12) for t in range(7)] == [sched.slice_of(layer) for layer in (1, 2, 3, 1, 2, 3, 1)]
+    assert sched.active(0, 12) == slice(3, 6)
+    assert sched.active(2, 12) == slice(9, 12)
 
 
 def test_layered_sweep_rejects_bad_dimensions():
@@ -134,9 +134,11 @@ def test_a_bound_system_reads_off_what_its_halves_imply():
              for cls in (core.Structural, core.Operational, core.MetastableSystem)}
     assert names == {
         core.Structural: ("init", "current"),
-        core.Operational: ("update", "wiring", "schedule"),
-        core.MetastableSystem: ("update", "wiring", "schedule", "init", "current"),
+        core.Operational: ("update", "wiring"),
+        core.MetastableSystem: ("update", "wiring", "init", "current"),
     }
+    assert ring.schedule == core.Synchronous()
+    assert net.schedule == core.LayeredSweep(3, 4)
 
 
 def test_milieu_is_a_fresh_dense_copy_of_the_stored_wiring():
@@ -254,26 +256,23 @@ def test_modulate_rejects_tiny_ring():
         ca.make_automaton(110, "01")
 
 
-def test_modulate_rejects_wrong_schedule_for_kind():
-    system = ca.make_automaton(110, "010101")
-    structural, operational = core.demodulate(system)
-    operational.schedule = core.LayeredSweep(layers=2, width=3)
-    with pytest.raises(UnsupportedKind):
-        core.modulate(structural, operational)
-
-
 def test_modulate_rejects_layer_count_mismatch():
+    # two blocks of width 2 make 3 layers of 2: 6 entities, not 4
     structural = core.Structural(
         init=np.zeros(4, dtype=np.int64),
         current=np.zeros(4, dtype=np.int64),
     )
-    operational = core.Operational(
-        update=ann.ThresholdGate(bias=np.zeros(4)),
-        wiring=np.zeros((2, 2, 2)),
-        schedule=core.LayeredSweep(layers=3, width=2),
-    )
-    with pytest.raises(BadDimensions):
+    operational = core.Operational(update=ann.ThresholdGate(bias=np.zeros(4)), wiring=np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatch):
         core.modulate(structural, operational)
+
+
+def test_modulate_rejects_a_net_wiring_with_no_blocks_or_no_width():
+    structural = core.Structural(init="1000", current="1000")
+    for wiring in (np.zeros((0, 2, 2)), np.zeros((0, 4, 4)), np.zeros((3, 0, 0))):
+        operational = core.Operational(update=ann.ThresholdGate(bias=np.zeros(4)), wiring=wiring)
+        with pytest.raises(BadDimensions):
+            core.modulate(structural, operational)
 
 
 def test_modulate_rejects_input_layer_bias():
@@ -360,7 +359,7 @@ def test_synchronous_update_is_order_independent(rule, init):
     order = np.random.default_rng(abs(hash(init)) % 2**32).permutation(n)
     manual = np.zeros(n, dtype=np.int64)
     for i in order:
-        manual[i] = table(int(frozen[(i - 1) % n]), int(frozen[i]), int(frozen[(i + 1) % n]))
+        manual[i] = rule_lookup(table, int(frozen[(i - 1) % n]), int(frozen[i]), int(frozen[(i + 1) % n]))
     assert np.array_equal(manual, stepped)
 
 
@@ -376,7 +375,7 @@ def test_layer_update_is_order_independent():
         s = float(system.update.bias[g])
         for i in range(sched.width):
             s += float(system.milieu[g, i]) * float(system.current[i])
-        out[j] = ann.threshold_activation(s)
+        out[j] = threshold_activation(s)
     assert np.array_equal(out, stepped[sched.slice_of(1)])
 
 
@@ -385,7 +384,7 @@ def test_step_rejects_update_outside_the_state_set():
         kind = "ca"
 
         def propagate(self, system, active):
-            return np.full(active.size, 7, dtype=np.int64)
+            return np.full(active.stop - active.start, 7, dtype=np.int64)
 
     system = ca.make_automaton(110, "010")
     bad = dataclasses.replace(system, update=Broken())
