@@ -6,7 +6,10 @@ entities). A ring's wiring is None: each cell reads itself and its two
 neighbours, so there is nothing to spell out. `modulate` binds the two into
 something you can run; `demodulate` splits a running system back into the
 same two halves. What follows from the halves (the entity count, the state
-alphabet, the fan-in, the schedule) is read off the bound system.
+alphabet, the fan-in, the `system.width` of a layer, here the whole ring) is
+read off the bound system. `core.active(system, t)` is the slice of cells
+that updates at step t, all of them for a ring, and `core.walk` yields the
+states one step at a time.
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ def main():
     print("each cell reads %d cells and takes states %s" % (system.fan_in, system.states))
     print()
 
-    for row in core.run(system, 6):
+    for row in core.walk(system, 6):
         print(core.render_state(row).replace("0", ".").replace("1", "#"))
     print()
 

@@ -1,10 +1,12 @@
 """Teach a layered threshold network to map the reference input to its target.
 
 The network is the same kind of object as the automaton in the other demos,
-bound from the same two halves; only the update function and milieu differ,
-and the schedule read off the milieu follows. Training presents the input, compares the output layer to
-the target, and nudges the bias and incoming weights of each wrong output
-unit. On this size the perceptron rule converges to an exact reproduction.
+bound from the same two halves; only the update function and milieu differ.
+Its `system.width` is read off the weight blocks, and `core.active` sweeps
+one layer per step where a ring updates every cell. Training presents the
+input, compares the output layer to the target, and nudges the bias and
+incoming weights of each wrong output unit. On this size the perceptron rule
+converges to an exact reproduction.
 """
 
 from metastable import ann, core

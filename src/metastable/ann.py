@@ -58,7 +58,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     from [-1, 1) with ``rng`` (layer by layer, weights before bias), or left
     at zero.
     """
-    core.LayeredSweep(layers, width)  # checks both counts before any array is sized
+    core.check_layers(layers, width)  # before any array is sized
     count = layers * width
     init = np.zeros(count, dtype=np.int64)
     init[:width] = core.state_vector(pattern, width, "input pattern")
@@ -133,29 +133,28 @@ def train(system: core.MetastableSystem, target, config: TrainingConfig | None =
         config = TrainingConfig()
     if system.kind != "ann":
         raise UnsupportedKind("training applies to layered perceptron systems")
-    schedule = system.schedule
-    target_vec = core.state_vector(target, schedule.width, "target")
+    width = system.width
+    target_vec = core.state_vector(target, width, "target")
 
     weights, gate = system.wiring.copy(), ThresholdGate(bias=system.update.bias)
     trained = dataclasses.replace(system, wiring=weights, update=gate)
-    out_rows = schedule.slice_of(schedule.layers - 1)
-    prev_rows = schedule.slice_of(schedule.layers - 2)
+    out_lo = system.count - width  # where the output layer, the last, starts
 
     corrections = 0
     history: list[float] = []
     for _ in range(config.epochs):
         state = forward(trained)
-        output = state[out_rows]
+        output = state[out_lo:]
         history.append(core.match(output, target_vec))
         if history[-1] == 1.0:
             break
         # every wrong output unit, in ascending order, as far as the budget goes
         wrong = np.flatnonzero(output != target_vec)
         fixed = wrong[: config.budget - corrections]
-        g = out_rows.start + fixed
+        g = out_lo + fixed
         delta = config.rate * (target_vec[fixed] - output[fixed]).astype(np.float64)
         gate.bias[g] = core.quantize(gate.bias[g] + delta)
-        weights[-1, fixed] = core.quantize(weights[-1, fixed] + delta[:, None] * state[prev_rows])
+        weights[-1, fixed] = core.quantize(weights[-1, fixed] + delta[:, None] * state[out_lo - width : out_lo])
         corrections += fixed.size
         if fixed.size < wrong.size:
             break

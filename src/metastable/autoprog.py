@@ -60,9 +60,9 @@ class Document:
     target: np.ndarray | None = None
 
     def __post_init__(self):
+        core.check_steps(self.steps)
         if self.target is not None:
-            want = self.system.count if self.system.kind == "ca" else self.system.schedule.width
-            self.target = core.state_vector(self.target, want, "target")
+            self.target = core.state_vector(self.target, self.system.width, "target")
 
     __eq__ = core.fields_equal
 
@@ -325,13 +325,12 @@ def emit(doc: Document) -> str:
         "p %d" % system.count,
         "states 01",
     ]
-    schedule = system.schedule
-    lines += [schedule_line(schedule), "milieu:"]
+    lines += [schedule_line(system), "milieu:"]
+    width = system.width
     if system.kind == "ca":
         rows = [" ".join(map(str, row)) for row in np.sort(core.ring_columns(system.count), axis=1).tolist()]
     else:
         # the blocks' rows, in order, are units width, width+1, ...; the input layer reads nothing
-        width = schedule.width
         rows = [""] * width
         for u, weights in enumerate(system.wiring.reshape(-1, width).tolist(), width):
             first = (u // width - 1) * width  # the layer before u's own
@@ -341,10 +340,8 @@ def emit(doc: Document) -> str:
     if system.kind == "ca":
         lines.append("table %s" % " ".join(str(b) for b in system.update.bits))
     else:
-        lines.append("layers %d" % schedule.layers)
-        lines.append("width %d" % schedule.width)
-        lines.append("strategy threshold")
-        for i in range(schedule.width, system.count):
+        lines += ["layers %d" % (system.count // width), "width %d" % width, "strategy threshold"]
+        for i in range(width, system.count):
             lines.append("bias %d %s" % (i, format_weight(system.update.bias[i])))
     lines.append("init %s" % core.render_state(system.init))
     lines.append("steps %d" % doc.steps)
@@ -353,11 +350,11 @@ def emit(doc: Document) -> str:
     return "\n".join(lines) + "\n"
 
 
-def schedule_line(schedule: core.Schedule) -> str:
+def schedule_line(system: core.MetastableSystem) -> str:
     """The text form's ``schedule`` line, which ``demodulate`` prints too."""
-    if isinstance(schedule, core.Synchronous):
+    if system.wiring is None:
         return "schedule synchronous"
-    return "schedule layered %d %d" % (schedule.layers, schedule.width)
+    return "schedule layered %d %d" % (system.count // system.width, system.width)
 
 
 # --- interpretation --------------------------------------------------------
@@ -381,8 +378,8 @@ def _wrap(values) -> str:
 def _fields(doc: Document, syntax: dict) -> dict[str, str]:
     """What the backend's template fills in, written in the backend's syntax.
 
-    The scheduled range [lo, hi) of step t is given as expressions that read
-    the same in C and Python: all entities, or one layer.
+    The range [lo, hi) that ``core.active`` gives step t is written as
+    expressions that read the same in C and Python: all entities, or one layer.
     """
 
     loads = []
@@ -407,8 +404,7 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
         note = ["neighbourhood code 4*left + 2*centre + right, looked up in the rule table"]
         lo, hi = "0", "P"
     else:
-        schedule = system.schedule
-        consts += [("LAYERS", schedule.layers), ("WIDTH", schedule.width)]
+        consts += [("LAYERS", system.count // system.width), ("WIDTH", system.width)]
         milieu = doubles("WEIGHT", system.wiring.ravel())
         reads = [
             "the layer blocks in order, block l-1 from layer l-1 into layer l: unit u",

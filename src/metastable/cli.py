@@ -51,12 +51,11 @@ def _read_text(path: str) -> str:
 def _cmd_ca_run(args) -> int:
     system = ca.make_automaton(args.rule, args.init)
     target = None if args.target is None else core.state_vector(args.target, system.count, "target")
-    rows = core.run(system, args.steps)
-    for row in rows:
-        print(core.render_state(row))
+    for state in core.walk(system, args.steps):
+        print(core.render_state(state))
     if target is None:
         return 0
-    score = core.match(rows[-1], target)
+    score = core.match(state, target)
     print("match %s" % (SCORE % score))
     return 0 if score == 1.0 else 1
 
@@ -134,7 +133,7 @@ def _cmd_demodulate(args) -> int:
     print("structural init %s" % core.render_state(structural.init))
     print("structural current %s" % core.render_state(structural.current))
     print("operational kind %s" % system.kind)
-    print("operational %s" % autoprog.schedule_line(system.schedule))
+    print("operational %s" % autoprog.schedule_line(system))
     print("operational fan-in %d" % system.fan_in)
     if system.kind == "ca":
         print("operational update table %s" % " ".join(str(b) for b in operational.update.bits))

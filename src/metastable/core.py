@@ -5,24 +5,25 @@ population is: its initial and current state vectors. The operational half
 says how it evolves: the update function and the milieu wiring entities
 together. What follows from these is read off a bound system, not given:
 its kind (the update's), its entity count (the size of ``init``), its state
-alphabet (always ``BINARY``), its fan-in, and its schedule, which chooses the
-range of entities ``[lo, hi)`` that fires at each step: all of a ring's
-cells, or one layer of a net. The milieu travels as ``wiring``,
-in the form its kind steps through: ``None`` for a ring, whose neighbours
-are ``ring_columns(count)``, and a net's (layers-1, width, width) weight
-blocks, block l-1 running from layer l-1 into layer l.
+alphabet (always ``BINARY``), its fan-in and its ``width``: a ring is one
+layer of all its cells, a net ``count // width`` layers. The milieu travels
+as ``wiring``, in the form its kind steps through: ``None`` for a ring, whose
+neighbours are ``ring_columns(count)``, and a net's (layers-1, width, width)
+weight blocks, block l-1 running from layer l-1 into layer l.
 
 ``modulate`` binds the two halves into a runnable ``MetastableSystem`` after
-checking every cross-field invariant. ``demodulate`` splits it back
-into fresh copies of the halves. ``modulate(*demodulate(s)) == s``
-holds for every bound system. ``step`` and ``run`` drive a bound system
-forward in time.
+checking every cross-field invariant. ``demodulate`` splits it back into
+fresh copies of the halves; ``modulate(*demodulate(s)) == s`` holds for every
+bound system. ``active(system, t)`` is the ``[lo, hi)`` slice of entities
+that fires at step t. ``step``, ``walk`` (one state at a time), ``run`` and
+``advance`` drive a bound system forward in time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Protocol, runtime_checkable
+import numbers
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -52,42 +53,6 @@ class UpdateFunction(Protocol):
     def propagate(self, system: "MetastableSystem", active: slice) -> np.ndarray:
         """Return new states for the entities in ``active``, a ``[lo, hi)`` slice."""
         ...
-
-
-@dataclasses.dataclass(frozen=True)
-class Synchronous:
-    """Every entity updates at every step."""
-
-    def active(self, t: int, count: int) -> slice:
-        return slice(0, count)
-
-
-@dataclasses.dataclass(frozen=True)
-class LayeredSweep:
-    """Entities form ``layers`` rows of ``width``; one row updates per step.
-
-    Row 0 is held fixed as input. Step t updates row ``(t % (layers-1)) + 1``,
-    so ``layers - 1`` consecutive steps sweep the whole population once and
-    the cycle then repeats.
-    """
-
-    layers: int
-    width: int
-
-    def __post_init__(self):
-        if self.layers < 2:
-            raise BadDimensions("need at least 2 layers, got %d" % self.layers)
-        if self.width < 1:
-            raise BadDimensions("need width of at least 1, got %d" % self.width)
-
-    def slice_of(self, layer: int) -> slice:
-        return slice(layer * self.width, (layer + 1) * self.width)
-
-    def active(self, t: int, count: int) -> slice:
-        return self.slice_of(t % (self.layers - 1) + 1)
-
-
-Schedule = Synchronous | LayeredSweep
 
 
 def fields_equal(self, other):
@@ -153,14 +118,12 @@ class MetastableSystem:
     @property
     def fan_in(self) -> int:
         """Inputs per update: a cell and its two neighbours, or a unit's bias and previous layer."""
-        return 3 if self.wiring is None else self.wiring.shape[1] + 1
+        return 3 if self.wiring is None else self.width + 1
 
     @property
-    def schedule(self) -> Schedule:
-        """Read off the wiring: a ring's cells all update at once, a net's blocks make its layers."""
-        if self.wiring is None:
-            return Synchronous()
-        return LayeredSweep(len(self.wiring) + 1, self.wiring.shape[1])
+    def width(self) -> int:
+        """Entities per layer: all of a ring's cells, or the side of a net's square weight blocks."""
+        return self.count if self.wiring is None else self.wiring.shape[1]
 
     @property
     def milieu(self) -> np.ndarray:
@@ -169,9 +132,9 @@ class MetastableSystem:
             dense = np.zeros((self.count, self.count), dtype=np.int64)
             np.put_along_axis(dense, ring_columns(self.count), 1, axis=1)
             return dense
-        dense, schedule = np.zeros((self.count, self.count)), self.schedule
-        for layer in range(1, schedule.layers):
-            dense[schedule.slice_of(layer), schedule.slice_of(layer - 1)] = self.wiring[layer - 1]
+        dense, w = np.zeros((self.count, self.count)), self.width
+        for layer, block in enumerate(self.wiring, 1):
+            dense[layer * w : (layer + 1) * w, (layer - 1) * w : layer * w] = block
         return dense
 
 
@@ -229,12 +192,28 @@ def quantize(values) -> np.ndarray:
         raise OutOfRange("a weight beyond %.6g in magnitude does not fit the 9-decimal grid" % limit) from None
 
 
+def check_layers(layers: int, width: int) -> None:
+    """Raise ``BadDimensions`` unless a net has an input layer and one more, each of one unit or more."""
+    if layers < 2:
+        raise BadDimensions("need at least 2 layers, got %d" % layers)
+    if width < 1:
+        raise BadDimensions("need width of at least 1, got %d" % width)
+
+
+def check_steps(steps) -> None:
+    """Raise ``OutOfRange`` unless ``steps`` is an integer of at least 0."""
+    if not isinstance(steps, numbers.Integral):
+        raise OutOfRange("step count must be an integer, got %r" % (steps,))
+    if steps < 0:
+        raise OutOfRange("step count must not be negative, got %d" % steps)
+
+
 def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, count: int) -> np.ndarray:
     shape = np.shape(wiring)  # None has shape ()
     if len(shape) != 3 or shape[1] != shape[2]:
         raise DimensionMismatch("wiring has shape %s, expected (layers-1, width, width)" % (shape,))
     layers, width = shape[0] + 1, shape[1]
-    LayeredSweep(layers, width)  # checks both counts
+    check_layers(layers, width)
     if layers * width != count:
         raise DimensionMismatch(
             "wiring has shape %s: %d layers of width %d make %d entities, not %d"
@@ -289,6 +268,16 @@ def demodulate(system: MetastableSystem) -> tuple[Structural, Operational]:
     return structural, Operational(update=system.update, wiring=wiring)
 
 
+def active(system: MetastableSystem, t: int) -> slice:
+    """The entities ``[lo, hi)`` that update at step t: all of a ring, or net layer ``t % (layers-1) + 1``,
+    so ``layers - 1`` steps sweep a net once with its input layer held fixed, and the cycle repeats."""
+    width = system.width
+    if system.wiring is None:
+        return slice(0, width)
+    lo = (t % len(system.wiring) + 1) * width
+    return slice(lo, lo + width)
+
+
 def _next_state(system: MetastableSystem, active: slice) -> np.ndarray:
     """The state vector after the entities in ``active`` update, freshly allocated."""
     values = system.update.propagate(system, active)
@@ -300,32 +289,36 @@ def _next_state(system: MetastableSystem, active: slice) -> np.ndarray:
 
 
 def step(system: MetastableSystem, t: int = 0) -> MetastableSystem:
-    """Advance one step: scheduled entities update, the rest carry over."""
-    return dataclasses.replace(system, current=_next_state(system, system.schedule.active(t, system.count)))
+    """Advance one step: the active entities update, the rest carry over."""
+    return dataclasses.replace(system, current=_next_state(system, active(system, t)))
 
 
-def _walk(system: MetastableSystem, steps: int, record: bool):
-    """Take ``steps`` steps from t = 0: the final system, and the
-    (steps+1, count) trajectory when ``record`` is set (else None)."""
-    if steps < 0:
-        raise OutOfRange("step count must not be negative, got %d" % steps)
-    out = None
-    if record:
-        out = np.empty((steps + 1, system.count), dtype=np.int64)
-        out[0] = system.current
-    work, schedule, count = dataclasses.replace(system), system.schedule, system.count
-    for t in range(steps):
-        work.current = _next_state(work, schedule.active(t, count))
-        if record:
-            out[t + 1] = work.current
-    return work, out
+def walk(system: MetastableSystem, steps: int) -> Iterator[np.ndarray]:
+    """Yield ``current``, then a fresh state vector after each of ``steps`` steps from t = 0.
+    ``steps`` is checked at the call, before anything is yielded; ``system`` is left as it is."""
+    check_steps(steps)
+    work = dataclasses.replace(system)
+
+    def states():
+        yield work.current
+        for t in range(steps):
+            work.current = _next_state(work, active(work, t))
+            yield work.current
+
+    return states()
 
 
 def run(system: MetastableSystem, steps: int) -> np.ndarray:
     """Record ``steps`` steps; returns a (steps+1, count) array starting at ``current``."""
-    return _walk(system, steps, record=True)[1]
+    states = walk(system, steps)  # checks ``steps`` before the array is sized
+    out = np.empty((steps + 1, system.count), dtype=np.int64)
+    for t, state in enumerate(states):
+        out[t] = state
+    return out
 
 
 def advance(system: MetastableSystem, steps: int) -> MetastableSystem:
     """Like ``run`` but returns only the final system, recording nothing."""
-    return _walk(system, steps, record=False)[0]
+    for state in walk(system, steps):
+        pass
+    return dataclasses.replace(system, current=state)

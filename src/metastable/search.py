@@ -61,8 +61,7 @@ class Problem:
     def from_strings(cls, init: str, target: str, steps: int) -> "Problem":
         init_vec = core.state_vector(init, name="init")
         target_vec = core.state_vector(target, init_vec.size, "target")
-        if steps < 0:
-            raise OutOfRange("step count must not be negative, got %d" % steps)
+        core.check_steps(steps)
         return cls(init=init_vec, target=target_vec, steps=steps)
 
 
@@ -224,8 +223,7 @@ def score_table(problem: Problem) -> np.ndarray:
     ``evaluate`` would reject raises the same typed error here.
     """
     system = ca.make_automaton(0, problem.init)
-    if problem.steps < 0:
-        raise OutOfRange("step count must not be negative, got %d" % problem.steps)
+    core.check_steps(problem.steps)
     count = system.count
     target = np.asarray(problem.target)
     if target.shape != (count,):

@@ -102,6 +102,13 @@ def test_document_rejects_bad_targets():
         ann_document(width=3, target="11")
 
 
+@pytest.mark.parametrize("steps", [-1, 2.7, 2.0, "3"])
+def test_document_rejects_a_step_count_that_is_not_a_non_negative_integer(steps):
+    # each would emit a steps line that parse rejects or that drops the fraction
+    with pytest.raises(OutOfRange):
+        autoprog.Document(system=ca.make_automaton(110, "00100"), steps=steps)
+
+
 # --- parse errors ----------------------------------------------------------
 
 

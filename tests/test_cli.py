@@ -1,5 +1,8 @@
 """Command line behaviour: grammars, exit codes, seeds, and config files."""
 
+import contextlib
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,24 @@ def test_ca_run_checks_the_target_before_stepping(capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: target has shape (2,), expected (4,)"]
+
+
+def _ca_run_peak(steps):
+    """The tracemalloc peak of one ca-run on a 3-cell ring, its rows written to os.devnull."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["ca-run", "--rule", "110", "--init", "001", "--steps", str(steps)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_ca_run_prints_each_row_as_it_steps():
+    # a stored (steps+1, 3) trajectory would grow the peak a hundredfold
+    assert _ca_run_peak(100_000) <= 2 * _ca_run_peak(1_000)
 
 
 def test_ca_run_rejects_bad_rules(capsys):

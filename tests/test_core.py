@@ -77,27 +77,28 @@ def test_state_vector_rejects_empty_strings():
         core.state_vector("")
 
 
-# --- schedules -------------------------------------------------------------
+# --- the active range of a step --------------------------------------------
 
 
 def test_synchronous_covers_everyone():
-    sched = core.Synchronous()
-    assert sched.active(0, 5) == slice(0, 5)
-    assert sched.active(17, 5) == slice(0, 5)
+    ring = ca.make_automaton(110, "01011")
+    assert [core.active(ring, t) for t in range(7)] == [slice(0, 5)] * 7
+    assert core.active(ring, 17) == slice(0, 5)
 
 
 def test_layered_sweep_cycles_over_non_input_layers():
-    sched = core.LayeredSweep(layers=4, width=3)
-    assert [sched.active(t, 12) for t in range(7)] == [sched.slice_of(layer) for layer in (1, 2, 3, 1, 2, 3, 1)]
-    assert sched.active(0, 12) == slice(3, 6)
-    assert sched.active(2, 12) == slice(9, 12)
+    net = ann.make_network(4, 3, "101")
+    layer = [slice(3 * i, 3 * (i + 1)) for i in range(4)]
+    assert [core.active(net, t) for t in range(7)] == [layer[i] for i in (1, 2, 3, 1, 2, 3, 1)]
+    assert core.active(net, 0) == slice(3, 6)
+    assert core.active(net, 2) == slice(9, 12)
 
 
 def test_layered_sweep_rejects_bad_dimensions():
     with pytest.raises(BadDimensions):
-        core.LayeredSweep(layers=1, width=3)
+        ann.make_network(1, 3, "101")
     with pytest.raises(BadDimensions):
-        core.LayeredSweep(layers=3, width=0)
+        ann.make_network(3, 0, "")
 
 
 # --- modulate / demodulate -------------------------------------------------
@@ -137,8 +138,8 @@ def test_a_bound_system_reads_off_what_its_halves_imply():
         core.Operational: ("update", "wiring"),
         core.MetastableSystem: ("update", "wiring", "init", "current"),
     }
-    assert ring.schedule == core.Synchronous()
-    assert net.schedule == core.LayeredSweep(3, 4)
+    assert ring.width == 5
+    assert net.width == 4
 
 
 def test_milieu_is_a_fresh_dense_copy_of_the_stored_wiring():
@@ -327,6 +328,26 @@ def test_run_rejects_negative_steps():
         core.advance(system, -2)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, "3", None])
+def test_the_walk_rejects_a_step_count_that_is_not_an_integer(steps):
+    system = ca.make_automaton(110, "01101")
+    for drive in (core.run, core.advance, core.walk):
+        with pytest.raises(OutOfRange):
+            drive(system, steps)
+    assert core.run(system, np.int64(2)).shape == (3, 5)
+
+
+def test_walk_checks_its_step_count_at_the_call_and_then_yields_one_state_at_a_time():
+    system = ca.make_automaton(110, "00100")
+    with pytest.raises(OutOfRange):
+        core.walk(system, -1)  # raised before the first next()
+    states = core.walk(system, 10**12)
+    assert [core.render_state(next(states)) for _ in range(4)] == ["00100", "01100", "11100", "10101"]
+    assert core.render_state(system.current) == "00100"
+    net = ann.make_network(3, 2, "10", rng=make_rng(5))
+    assert np.array_equal(np.array(list(core.walk(net, 5))), core.run(net, 5))
+
+
 @given(st.integers(0, 255), binary_strings(min_size=3, max_size=16), st.integers(0, 6))
 @settings(max_examples=40)
 def test_run_equals_step_composition(rule, init, steps):
@@ -368,15 +389,15 @@ def test_layer_update_is_order_independent():
     rng = make_rng(3)
     system = ann.make_network(2, 5, "10110", rng=rng)
     stepped = core.step(system).current
-    sched = system.schedule
+    width = system.width
     out = np.zeros(5, dtype=np.int64)
     for j in reversed(range(5)):  # deliberately backwards
-        g = sched.width + j
+        g = width + j
         s = float(system.update.bias[g])
-        for i in range(sched.width):
+        for i in range(width):
             s += float(system.milieu[g, i]) * float(system.current[i])
         out[j] = threshold_activation(s)
-    assert np.array_equal(out, stepped[sched.slice_of(1)])
+    assert np.array_equal(out, stepped[width : 2 * width])
 
 
 def test_step_rejects_update_outside_the_state_set():

@@ -24,6 +24,9 @@ def test_problem_validation():
         search.Problem.from_strings("010", "0101", 1)
     with pytest.raises(OutOfRange):
         search.Problem.from_strings("010", "010", -1)
+    for steps in (2.5, 2.0, "3"):
+        with pytest.raises(OutOfRange):
+            search.Problem.from_strings("010", "010", steps)
 
 
 def test_attempt_draws_are_pinned_to_seed_and_index():
@@ -219,6 +222,7 @@ def test_score_table_agrees_with_evaluate_bit_for_bit():
         ([0, 1, 0, 1], [0, 1, 0], 1, DimensionMismatch),
         ([0, 1, 0, 1], [0, 1, 0, 1], -1, OutOfRange),
         ([0.5, 1.0, 0.0, 1.7], [0, 1, 0, 1], 1, StateDomainViolation),
+        ([0, 1, 0, 1], [0, 1, 0, 1], 2.5, OutOfRange),
     ],
 )
 def test_searches_raise_the_errors_evaluate_raises(init, target, steps, error):
