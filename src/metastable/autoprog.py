@@ -9,16 +9,18 @@ Python program; ``compile_and_run`` hands generated source to a toolchain; and
 ``verify`` checks that the external route prints exactly what the in-process
 route computes, bit for bit.
 
-Malformed text raises ``ParseError`` with a line number. Text that parses but
-describes something invalid (an index out of range, a bad state character)
-raises ``SemanticError``. Documents whose milieu or schedule break a system
-invariant raise the same typed errors as direct construction does; a ring
-whose rows are not its ring, or a net weight off its layer blocks that does
-not round to 0, raises ``UnsupportedKind``.
+Malformed text raises ``ParseError``, among it ``row`` or ``bias`` lines that
+do not ascend. Text that parses but describes something invalid (an index out
+of range, a bad state character) raises ``SemanticError``. Both carry the line
+they were read from. Documents whose milieu or schedule break a system
+invariant raise the same typed errors as direct construction does, before
+anything is sized by them; a ring whose rows are not its ring, or a net weight
+off its layer blocks that does not round to 0, raises ``UnsupportedKind``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -53,7 +55,7 @@ AMP_VERSION = "1"
 
 @dataclasses.dataclass
 class Document:
-    """One bound system plus how long to run it and an optional goal state."""
+    """A fresh bound system (current == init, where every route starts), its step count and an optional goal."""
 
     system: core.MetastableSystem
     steps: int
@@ -61,6 +63,8 @@ class Document:
 
     def __post_init__(self):
         core.check_steps(self.steps)
+        if not np.array_equal(self.system.init, self.system.current):
+            raise SemanticError("only fresh systems (current == init) have a text form")
         if self.target is not None:
             self.target = core.state_vector(self.target, self.system.width, "target")
 
@@ -90,8 +94,8 @@ class _Reader:
         self.items = ((number, line) for number, line in enumerate(tokens, 1) if line)
         self.item = next(self.items, None)
 
-    def peek(self):
-        return self.item
+    def at(self, key: str) -> bool:
+        return self.item is not None and self.item[1][0] == key
 
     def take(self, what: str):
         if self.item is None:
@@ -100,21 +104,36 @@ class _Reader:
         return item
 
 
-def _scalar(reader: _Reader, key: str, count: int = 1) -> list[str]:
+def _line(reader: _Reader, key: str, count: int | None = 1) -> tuple[int, list[str]]:
+    """The next line's number and values; it opens with ``key`` and holds ``count`` values, or any if None."""
     number, tokens = reader.take("'%s' line" % key)
     if tokens[0] != key:
         raise ParseError("expected '%s', got '%s'" % (key, tokens[0]), number)
-    if len(tokens) != count + 1:
+    if count is not None and len(tokens) != count + 1:
         raise ParseError("'%s' takes %d value(s)" % (key, count), number)
-    return tokens[1:]
+    return number, tokens[1:]
 
 
-def _count(reader: _Reader, key: str, what: str) -> int:
-    """The integer on a '<key> <count>' line."""
-    number, tokens = reader.take("'%s' line" % key)
-    if tokens[0] != key or len(tokens) != 2:
-        raise ParseError("expected '%s <count>'" % key, number)
-    return _int(tokens[1], what, number)
+def _count(reader: _Reader, key: str, what: str) -> tuple[int, int]:
+    """The number of a '<key> <count>' line, and its integer."""
+    number, (text,) = _line(reader, key)
+    return number, _int(text, what, number)
+
+
+def _indexed(reader: _Reader, key: str, p: int, usage: str, end: str = ""):
+    """Each following '<key> <i><end> ...' line as (number, i, values after i); i ascends within [0, p)."""
+    last, what = -1, "%s index" % key
+    while reader.at(key):
+        number, tokens = reader.take(key)
+        if len(tokens) < 2 or not tokens[1].endswith(end):
+            raise ParseError(usage, number)
+        i = _int(tokens[1].removesuffix(end), what, number)
+        if not 0 <= i < p:
+            raise SemanticError("%s index %d out of range for %d entities" % (key, i, p), number)
+        if i <= last:
+            raise ParseError("%s %d repeats or is out of order" % (key, i), number)
+        last = i
+        yield number, i, tokens[2:]
 
 
 def _int(text: str, what: str, number: int) -> int:
@@ -130,37 +149,26 @@ def _float(text: str, what: str, number: int) -> float:
     except ValueError:
         raise ParseError("%s must be a number, got '%s'" % (what, text), number) from None
     if not math.isfinite(value):
-        raise SemanticError("%s must be finite, got '%s'" % (what, text))
+        raise SemanticError("%s must be finite, got '%s'" % (what, text), number)
     return value
 
 
-def _state_vector(text: str, expected: int, what: str) -> np.ndarray:
+def _state_vector(reader: _Reader, key: str, expected: int) -> np.ndarray:
+    """The state of ``expected`` cells on the '<key> <0s and 1s>' line."""
+    number, (text,) = _line(reader, key)
     try:
-        return core.state_vector(text, expected, what)
+        return core.state_vector(text, expected, key)
     except (BadCharacter, EmptyInput, DimensionMismatch) as err:
-        raise SemanticError("%s: %s" % (what, err)) from None
+        raise SemanticError("%s: %s" % (key, err), number) from None
 
 
 def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array, array]:
     """The milieu's entries as packed row, column and weight arrays; p-sized
     arrays wait until the init line has shown that p is real."""
     rows, cols, weights = array("q"), array("q"), array("d")
-    last_row = -1
-    while True:
-        item = reader.peek()
-        if item is None or item[1][0] != "row":
-            return rows, cols, weights
-        number, tokens = reader.take("milieu row")
-        if len(tokens) < 2 or not tokens[1].endswith(":"):
-            raise ParseError("milieu rows look like 'row <i>: <entries>'", number)
-        i = _int(tokens[1][:-1], "row index", number)
-        if not 0 <= i < p:
-            raise SemanticError("row index %d out of range for %d entities" % (i, p))
-        if i <= last_row:
-            raise ParseError("milieu rows must appear in ascending order", number)
-        last_row = i
+    for number, i, entries in _indexed(reader, "row", p, "milieu rows look like 'row <i>: <entries>'", ":"):
         seen: set[int] = set()
-        for entry in tokens[2:]:
+        for entry in entries:
             if weighted:
                 if "=" not in entry:
                     raise ParseError("weighted entries look like '<j>=<w>'", number)
@@ -171,129 +179,103 @@ def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array
                 j = _int(entry, "column index", number)
                 w = 1.0
             if not 0 <= j < p:
-                raise SemanticError("column index %d out of range for %d entities" % (j, p))
+                raise SemanticError("column index %d out of range for %d entities" % (j, p), number)
             if j in seen:
-                raise SemanticError("column %d repeats in row %d" % (j, i))
+                raise SemanticError("column %d repeats in row %d" % (j, i), number)
             seen.add(j)
             rows.append(i)
             cols.append(j)
             weights.append(w)
+    return rows, cols, weights
 
 
 def parse(text: str) -> Document:
     """Read one model-program document; see the module docstring for errors."""
     reader = _Reader(text)
 
-    number, tokens = reader.take("amp header")
-    if tokens[0] != "amp":
-        raise ParseError("document must open with 'amp %s'" % AMP_VERSION, number)
-    if tokens[1:] != [AMP_VERSION]:
-        raise ParseError("unsupported amp version %s" % " ".join(tokens[1:]), number)
+    number, (version,) = _line(reader, "amp")
+    if version != AMP_VERSION:
+        raise ParseError("unsupported amp version %s" % version, number)
 
-    (kind,) = _scalar(reader, "kind")
+    number, (kind,) = _line(reader, "kind")
     if kind not in ("ca", "ann"):
-        raise SemanticError("kind must be ca or ann, got '%s'" % kind)
+        raise SemanticError("kind must be ca or ann, got '%s'" % kind, number)
 
-    p = _count(reader, "p", "entity count")
+    number, p = _count(reader, "p", "entity count")
     if p < 1:
-        raise SemanticError("entity count must be positive, got %d" % p)
+        raise SemanticError("entity count must be positive, got %d" % p, number)
 
-    (alphabet,) = _scalar(reader, "states")
+    number, (alphabet,) = _line(reader, "states")
     if alphabet != "01":
-        raise SemanticError("only the 01 state alphabet is supported, got '%s'" % alphabet)
+        raise SemanticError("only the 01 state alphabet is supported, got '%s'" % alphabet, number)
 
-    number, tokens = reader.take("'schedule' line")
-    if tokens[0] != "schedule":
-        raise ParseError("expected 'schedule', got '%s'" % tokens[0], number)
+    number, schedule = _line(reader, "schedule", None)
     # a ring's line is checked against its kind just before binding
-    if tokens[1:] == ["synchronous"]:
+    if schedule == ["synchronous"]:
         layered = None
-    elif len(tokens) == 4 and tokens[1] == "layered":
-        layered = (_int(tokens[2], "layer count", number), _int(tokens[3], "layer width", number))
+    elif len(schedule) == 3 and schedule[0] == "layered":
+        layered = (_int(schedule[1], "layer count", number), _int(schedule[2], "layer width", number))
         if layered[0] < 2 or layered[1] < 1:
-            raise SemanticError("layered schedules need layers >= 2 and width >= 1")
+            raise SemanticError("layered schedules need layers >= 2 and width >= 1", number)
     else:
         raise ParseError("schedule is 'synchronous' or 'layered <layers> <width>'", number)
 
-    number, tokens = reader.take("'milieu:' header")
-    if tokens != ["milieu:"]:
-        raise ParseError("expected 'milieu:' section header", number)
+    _line(reader, "milieu:", 0)
     rows, cols, weights = _parse_milieu(reader, p, weighted=(kind == "ann"))
-
-    number, tokens = reader.take("'update:' header")
-    if tokens != ["update:"]:
-        raise ParseError("expected 'update:' section header", number)
+    _line(reader, "update:", 0)
 
     if kind == "ca":
-        number, tokens = reader.take("'table' line")
-        if tokens[0] != "table":
-            raise ParseError("expected 'table <8 bits>'", number)
-        if len(tokens) != 9:
-            raise SemanticError("a rule table needs exactly 8 entries, got %d" % (len(tokens) - 1))
-        bits = tuple(_int(tok, "table entry", number) for tok in tokens[1:])
+        number, bits = _line(reader, "table", None)
+        if len(bits) != 8:
+            raise SemanticError("a rule table needs exactly 8 entries, got %d" % len(bits), number)
+        bits = [_int(tok, "table entry", number) for tok in bits]
         if any(b not in (0, 1) for b in bits):
-            raise SemanticError("table entries must be 0 or 1")
+            raise SemanticError("table entries must be 0 or 1", number)
         update: core.UpdateFunction = ca.RuleTable(sum(b << code for code, b in enumerate(bits)))
     else:
-        layers = _count(reader, "layers", "layer count")
-        width = _count(reader, "width", "layer width")
+        layers = _count(reader, "layers", "layer count")[1]
+        number, width = _count(reader, "width", "layer width")
         if (layers, width) != layered:
-            raise SemanticError("update section disagrees with the schedule line")
-        (strategy,) = _scalar(reader, "strategy")
+            raise SemanticError("update section disagrees with the schedule line", number)
+        number, (strategy,) = _line(reader, "strategy")
         if strategy != "threshold":
-            raise SemanticError("the only supported gate strategy is 'threshold'")
-        biases: list[tuple[int, float]] = []
-        last_bias = -1
-        while True:
-            item = reader.peek()
-            if item is None or item[1][0] != "bias":
-                break
-            number, tokens = reader.take("bias line")
-            if len(tokens) != 3:
-                raise ParseError("bias lines look like 'bias <i> <w>'", number)
-            i = _int(tokens[1], "bias index", number)
-            w = _float(tokens[2], "bias", number)
-            if not 0 <= i < p:
-                raise SemanticError("bias index %d out of range for %d entities" % (i, p))
+            raise SemanticError("the only supported gate strategy is 'threshold'", number)
+        usage = "bias lines look like 'bias <i> <w>'"
+        biased, biases = array("q"), array("d")
+        for number, i, values in _indexed(reader, "bias", p, usage):
+            if len(values) != 1:
+                raise ParseError(usage, number)
+            biases.append(_float(values[0], "bias", number))
             if i < width:
-                raise SemanticError("input-layer entity %d cannot carry a bias" % i)
-            if i <= last_bias:
-                raise SemanticError("bias %d repeats or is out of order" % i)
-            last_bias = i
-            biases.append((i, w))
+                raise SemanticError("input-layer entity %d cannot carry a bias" % i, number)
+            biased.append(i)
 
-    (init_text,) = _scalar(reader, "init")
-    init = _state_vector(init_text, p, "init")
+    init = _state_vector(reader, "init", p)
 
-    steps = _count(reader, "steps", "step count")
+    number, steps = _count(reader, "steps", "step count")
     if steps < 0:
-        raise SemanticError("step count must not be negative, got %d" % steps)
+        raise SemanticError("step count must not be negative, got %d" % steps, number)
 
     target = None
-    item = reader.peek()
-    if item is not None and item[1][0] == "target":
-        (target_text,) = _scalar(reader, "target")
-        goal_len = p if kind == "ca" else width
-        target = _state_vector(target_text, goal_len, "target")
+    if reader.at("target"):
+        target = _state_vector(reader, "target", p if kind == "ca" else width)
 
-    item = reader.peek()
-    if item is not None:
-        raise ParseError("unexpected content after the document", item[0])
+    if reader.item is not None:
+        raise ParseError("unexpected content after the document", reader.item[0])
 
     # init has p cells, so p is no larger than the document: build the arrays
     rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     wiring = None
     if kind == "ann":
+        core.check_layers(layers, width, p)  # before the blocks are sized by them
         # block l-1 holds the weights from layer l-1 into layer l; any other
-        # entry must round to 0 on the weight grid, and is then dropped. When
-        # the layers do not make p, nothing is placed: modulate raises DimensionMismatch.
+        # entry must round to 0 on the weight grid, and is then dropped
         layer, weights = rows // width, np.array(weights)
-        inside = (layer == cols // width + 1) & (layers * width == p)
+        inside = layer == cols // width + 1
         wiring = np.zeros((layers - 1, width, width))
         wiring[layer[inside] - 1, rows[inside] % width, cols[inside] % width] = weights[inside]
         bias = np.zeros(p, dtype=np.float64)
-        for i, w in biases:
-            bias[i] = w
+        bias[np.array(biased, dtype=np.int64)] = biases
         update = ann.ThresholdGate(bias=bias)
 
     if kind == "ca" and layered is not None:
@@ -317,8 +299,6 @@ def parse(text: str) -> Document:
 def emit(doc: Document) -> str:
     """Render a document to its canonical text; parse(emit(d)) == d."""
     system = doc.system
-    if not np.array_equal(system.init, system.current):
-        raise SemanticError("only fresh systems (current == init) have a text form")
     lines = [
         "amp %s" % AMP_VERSION,
         "kind %s" % system.kind,
@@ -578,6 +558,8 @@ class ToolchainConfig:
             raise ParseError("toolchain command must mention {src}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise OutOfRange("toolchain timeout must be finite and positive, got %r" % self.timeout)
+        if self.timeout > (2**31 - 1) / 1000:  # poll() takes its wait as a C int of milliseconds
+            raise OutOfRange("toolchain timeout must be at most 2147483.647 s, got %r" % self.timeout)
 
 
 def default_toolchain(backend: str) -> ToolchainConfig:
@@ -592,7 +574,7 @@ def toolchain_available(backend: str) -> bool:
 def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") -> str:
     """Write source to a scratch directory, run the toolchain, return stdout.
 
-    The toolchain starts a new session; on a timeout its process group is killed and reaped.
+    The toolchain starts a new session; its process group is killed and reaped on every way out.
     """
     scratch = tempfile.mkdtemp(prefix="modelprog-")
     try:
@@ -617,9 +599,11 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
             try:
                 stdout, stderr = proc.communicate(timeout=config.timeout)
             except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
                 raise RunTimeout("toolchain exceeded %.1fs" % config.timeout) from None
+            finally:
+                with contextlib.suppress(ProcessLookupError):  # the group has already gone
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
         # decoded as printed: no newline translation, and a byte that is not UTF-8 becomes U+FFFD
         stdout, stderr = (out.decode("utf-8", errors="replace") for out in (stdout, stderr))
         if proc.returncode != 0:

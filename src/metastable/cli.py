@@ -4,7 +4,7 @@ Subcommands: ca-run, ca-search, ca-enumerate, ann-train, codegen, verify,
 demodulate. Results go to stdout; seeds, notes, and errors go to stderr.
 
 Exit codes: 0 on success, 1 when a stated goal was not met, 2 on bad usage
-or bad input, 3 when an external toolchain failed.
+or bad input, 3 when an external toolchain failed, 130 when interrupted.
 
 A config file (--config) holds one "key value" pair per line, with keys
 named after long flags of the chosen subcommand; flags given on the command
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except MetastableError as err:
         _fail(str(err))
         return 2
+    except KeyboardInterrupt:
+        _fail("interrupted")
+        return 130
 
 
 def entry() -> None:

@@ -192,12 +192,18 @@ def quantize(values) -> np.ndarray:
         raise OutOfRange("a weight beyond %.6g in magnitude does not fit the 9-decimal grid" % limit) from None
 
 
-def check_layers(layers: int, width: int) -> None:
-    """Raise ``BadDimensions`` unless a net has an input layer and one more, each of one unit or more."""
+def check_layers(layers: int, width: int, count: int | None = None) -> None:
+    """Raise ``BadDimensions`` unless a net has an input layer and one more, each of one unit or more,
+    and ``DimensionMismatch`` unless its layers make ``count`` entities, when that is given."""
     if layers < 2:
         raise BadDimensions("need at least 2 layers, got %d" % layers)
     if width < 1:
         raise BadDimensions("need width of at least 1, got %d" % width)
+    if count is not None and layers * width != count:
+        raise DimensionMismatch(
+            "wiring has shape %s: %d layers of width %d make %d entities, not %d"
+            % ((layers - 1, width, width), layers, width, layers * width, count)
+        )
 
 
 def check_steps(steps) -> None:
@@ -212,13 +218,8 @@ def _check_layered(wiring: np.ndarray | None, bias: np.ndarray, count: int) -> n
     shape = np.shape(wiring)  # None has shape ()
     if len(shape) != 3 or shape[1] != shape[2]:
         raise DimensionMismatch("wiring has shape %s, expected (layers-1, width, width)" % (shape,))
-    layers, width = shape[0] + 1, shape[1]
-    check_layers(layers, width)
-    if layers * width != count:
-        raise DimensionMismatch(
-            "wiring has shape %s: %d layers of width %d make %d entities, not %d"
-            % (shape, layers, width, layers * width, count)
-        )
+    width = shape[1]
+    check_layers(shape[0] + 1, width, count)
     if bias.shape != (count,):
         raise DimensionMismatch("bias has shape %s, expected (%d,)" % (bias.shape, count))
     if not np.isfinite(bias).all():

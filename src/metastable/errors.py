@@ -49,15 +49,19 @@ class UnsupportedKind(MetastableError):
     """The requested combination of model kind and schedule is not supported."""
 
 
-class ParseError(MetastableError):
-    """A model-program document is textually malformed."""
+class DocumentError(MetastableError):
+    """A fault in a model-program document, with the line it was read from when there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-class SemanticError(MetastableError):
+class ParseError(DocumentError):
+    """A model-program document is textually malformed."""
+
+
+class SemanticError(DocumentError):
     """A model-program document is well-formed text but describes an invalid model."""
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import re
+import subprocess
 import time
 import tracemalloc
 
@@ -15,6 +16,7 @@ from conftest import INIT, STEPS, TARGET, make_rng
 from metastable import ann, autoprog, ca, core
 from metastable.errors import (
     CompileFailed,
+    DimensionMismatch,
     MetastableError,
     NoBackendConfigured,
     OutOfRange,
@@ -85,6 +87,13 @@ def test_emit_requires_a_fresh_system():
         autoprog.emit(dataclasses.replace(doc, system=stepped))
 
 
+def test_a_document_holds_only_a_fresh_system():
+    # a stepped system would start the interpreter at current but the programs at init
+    stepped = core.step(ca.make_automaton(110, "0010011"))
+    with pytest.raises(SemanticError):
+        autoprog.Document(system=stepped, steps=2)
+
+
 def test_document_normalizes_string_targets():
     doc = autoprog.Document(system=ca.make_automaton(110, "00100"), steps=3, target="11101")
     assert "target 11101" in autoprog.emit(doc)
@@ -137,6 +146,24 @@ def test_parse_error_carries_the_line_number():
         autoprog.parse(text)
     assert err.value.line == 3
     assert "line 3" in str(err.value)
+
+
+def test_semantic_errors_carry_the_line_number():
+    text = _swap(autoprog.emit(ca_document(init="010")), "row 0: 0 1 2", "row 0: 0 1 7")
+    with pytest.raises(SemanticError) as err:
+        autoprog.parse(text)
+    assert err.value.line == 7
+    assert str(err.value) == "line 7: column index 7 out of range for 3 entities"
+
+
+def test_repeated_or_unordered_biases_are_parse_errors_on_their_line():
+    text = autoprog.emit(ann_document(layers=3, width=3))
+    lines = text.splitlines()
+    at = lines.index(next(line for line in lines if line.startswith("bias 4 ")))
+    for moved in (lines[at], lines[at - 1]):  # bias 4 again, or bias 3 after it
+        with pytest.raises(ParseError) as err:
+            autoprog.parse("\n".join(lines[: at + 1] + [moved] + lines[at + 1 :]))
+        assert err.value.line == at + 2
 
 
 def test_parse_rejects_unknown_kind():
@@ -305,6 +332,23 @@ def test_parse_sizes_nothing_by_an_unchecked_p():
         autoprog.parse(_swap(text, "p 1000000", "p 99999999999"))
 
 
+def test_parse_sizes_no_weight_blocks_by_layers_that_do_not_make_p():
+    # 127 bytes whose layers of width 30,000 would ask for 6.7 GiB of blocks
+    text = (
+        "amp 1\nkind ann\np 3\nstates 01\nschedule layered 2 30000\nmilieu:\nupdate:\n"
+        "layers 2\nwidth 30000\nstrategy threshold\ninit 100\nsteps 1\n"
+    )
+    assert len(text) == 127
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="2 layers of width 30000 make 60000 entities, not 3"):
+            autoprog.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_a_ring_that_fails_to_bind_leaves_nothing_behind():
     # 3,104 bytes whose init matches p 3000 but whose milieu has no rows: the
     # rows are checked against ring_columns, with no p×p array
@@ -397,6 +441,8 @@ def test_mutated_documents_parse_or_raise_typed_errors(kind, edits):
     text = "\n".join(" ".join(line) for line in lines)
     try:
         autoprog.parse(text)
+    except SemanticError as err:
+        assert err.line is not None
     except MetastableError:
         pass
 
@@ -492,6 +538,14 @@ def test_toolchain_config_rejects_an_infinite_timeout():
         autoprog.ToolchainConfig(command="cc {src}", timeout=float("inf"))
 
 
+def test_toolchain_config_rejects_a_timeout_poll_cannot_wait():
+    # poll() takes milliseconds as a C int, so 2147483.647 s is the longest wait
+    autoprog.ToolchainConfig(command="cc {src}", timeout=(2**31 - 1) / 1000)
+    for timeout in (2147484, 1e9):
+        with pytest.raises(OutOfRange):
+            autoprog.ToolchainConfig(command="cc {src}", timeout=timeout)
+
+
 def test_toolchain_rejects_unknown_placeholders():
     config = autoprog.ToolchainConfig(command="cc {src} {flags}")
     with pytest.raises(ParseError):
@@ -542,6 +596,33 @@ def test_compile_and_run_leaves_no_process_behind(tmp_path):
     while alive() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not alive()
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether a process of group pgid is alive (not a zombie)."""
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open("/proc/%s/stat" % entry) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            return True
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_an_interrupted_toolchain_leaves_no_process_behind(monkeypatch):
+    groups = []
+
+    def interrupted(proc, *args, **kwargs):
+        groups.append(proc.pid)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        autoprog.compile_and_run("x", autoprog.ToolchainConfig("sleep 47.5; true {src}"))
+    assert not _group_alive(groups[0])
 
 
 def test_compile_failures_carry_diagnostics():

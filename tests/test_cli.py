@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -410,9 +411,22 @@ def test_verify_builds_its_toolchain_from_the_flags(capsys, reference_model):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: toolchain timeout must be finite and positive, got inf"]
+    code, out, err = run_cli(capsys, base + ["--timeout", "2147484"])  # poll() waits at most 2**31-1 ms
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: toolchain timeout must be at most 2147483.647 s, got 2147484.0"]
     code, out, err = run_cli(capsys, base + ["--timeout", "30"])
     assert code == 0
     assert out.strip() == "equal"
+
+
+def test_an_interrupted_verify_exits_130_without_a_traceback(capsys, monkeypatch, reference_model):
+    def interrupted(proc, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    argv = ["verify", "--model", reference_model, "--backend", "python", "--toolchain", "sleep 47.5; true {src}"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_malformed_toolchain_templates_exit_two(capsys, reference_model):
