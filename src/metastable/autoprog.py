@@ -576,8 +576,7 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
 
     The toolchain starts a new session; its process group is killed and reaped on every way out.
     """
-    scratch = tempfile.mkdtemp(prefix="modelprog-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="modelprog-", ignore_cleanup_errors=True) as scratch:
         src = os.path.join(scratch, "program" + suffix)
         binary = os.path.join(scratch, "program")
         with open(src, "w") as handle:
@@ -612,8 +611,6 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
                 diagnostics=(stderr or stdout).strip(),
             )
         return stdout
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
 
 # --- equivalence -----------------------------------------------------------
@@ -630,17 +627,12 @@ class VerifyReport:
 
     @staticmethod
     def compare(expected: str, actual: str) -> "VerifyReport":
+        """``mismatch_line`` is the 1-based line of the first differing character, counted in
+        ``expected``: interpreter text, whose only line break is ``\\n``. A line that differs only
+        in how it ends (a missing final newline) is the line reported."""
         if expected == actual:
             return VerifyReport(equal=True, expected=expected, actual=actual, mismatch_line=None)
-        # Lines keep their terminators, so a line that differs only in how it
-        # ends (a missing final newline) is the line reported.
-        exp_lines = expected.splitlines(keepends=True)
-        act_lines = actual.splitlines(keepends=True)
-        where = min(len(exp_lines), len(act_lines)) + 1
-        for k, (e, a) in enumerate(zip(exp_lines, act_lines), 1):
-            if e != a:
-                where = k
-                break
+        where = os.path.commonprefix([expected, actual]).count("\n") + 1
         return VerifyReport(equal=False, expected=expected, actual=actual, mismatch_line=where)
 
 

@@ -6,9 +6,9 @@ demodulate. Results go to stdout; seeds, notes, and errors go to stderr.
 Exit codes: 0 on success, 1 when a stated goal was not met, 2 on bad usage
 or bad input, 3 when an external toolchain failed, 130 when interrupted.
 
-A config file (--config) holds one "key value" pair per line, with keys
-named after long flags of the chosen subcommand; flags given on the command
-line win over config values.
+A config file (--config) holds one "key value" pair per line, keys the full
+names of the subcommand's long flags; each line is read as --key=value ahead
+of the command line's flags, so argparse types it and a command-line flag wins.
 """
 
 from __future__ import annotations
@@ -144,22 +144,23 @@ def _cmd_demodulate(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The parser, and per subcommand the actions of its long flags by name."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
+    """The parser, and per subcommand the names of its long flags."""
     parser = argparse.ArgumentParser(
         prog="metastable",
         description="Bind, run, search, train, and translate entity populations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    index: dict[str, dict[str, argparse.Action]] = {}
+    index: dict[str, list[str]] = {}
 
     def sub(name: str, func, help_text: str):
         p = subs.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        flags = index[name] = {}
+        names = index[name] = []
 
         def flag(option: str, **kwargs) -> None:
-            flags[option[2:]] = p.add_argument(option, **kwargs)
+            names.append(option[2:])
+            p.add_argument(option, **kwargs)
 
         flag("--config", help="file of 'key value' defaults for this subcommand")
         return flag
@@ -224,14 +225,14 @@ def _load_config(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _apply_config(argv: list[str], index: dict[str, dict[str, argparse.Action]]) -> bool:
-    """Install config-file values as the defaults of the chosen subcommand's flags."""
+def _with_config(argv: list[str], index: dict[str, list[str]]) -> list[str]:
+    """argv with the chosen subcommand's config lines as ``--key=value`` flags ahead of the
+    command line's own, so argparse types them and, keeping the last value, lets a flag win."""
     if not argv or argv[0] not in index:
-        return True
-    command = argv[0]
+        return argv
+    command, rest = argv[0], argv[1:]
     options = index[command]
     path = None
-    rest = argv[1:]
     for k, token in enumerate(rest):
         # argparse takes any unambiguous prefix of a long flag: --conf, --c=FILE
         name, eq, value = token.partition("=")
@@ -242,39 +243,24 @@ def _apply_config(argv: list[str], index: dict[str, dict[str, argparse.Action]])
         elif k + 1 < len(rest):
             path = rest[k + 1]
     if path is None:
-        return True
+        return argv
     try:
         pairs = _load_config(path)
     except (OSError, MetastableError) as err:
-        _fail("cannot read config: %s" % err)
-        return False
-    for key, value in pairs:
+        raise MetastableError("cannot read config: %s" % err) from None
+    for key, _ in pairs:
         if key == "config" or key not in options:
-            _fail("unknown config key '%s' for %s" % (key, command))
-            return False
-        action = options[key]
-        try:
-            action.default = action.type(value) if action.type else value
-        except ValueError:
-            _fail("bad value for config key '%s': %r" % (key, value))
-            return False
-        # A config value satisfies a required flag.
-        action.required = False
-    return True
+            raise MetastableError("unknown config key '%s' for %s" % (key, command))
+    return [command] + ["--%s=%s" % pair for pair in pairs] + rest
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser, index = build_parser()
-    if not _apply_config(list(argv), index):
-        return 2
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(list(sys.argv[1:] if argv is None else argv), index))
+        return args.func(args)
     except SystemExit as err:
         return int(err.code or 0)
-    try:
-        return args.func(args)
     except OSError as err:
         _fail(str(err))
         return 2

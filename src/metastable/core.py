@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -42,9 +42,9 @@ from .errors import (
 
 BINARY = (0, 1)
 WEIGHT_DECIMALS = 9
+MAX_WEIGHTS = 2**26  # 512 MiB of float64 weight blocks
 
 
-@runtime_checkable
 class UpdateFunction(Protocol):
     """Anything that can produce new state values for a set of entities."""
 
@@ -166,16 +166,17 @@ def state_vector(given, count: int | None = None, name: str = "state vector") ->
     if isinstance(given, str):
         if not given:
             raise EmptyInput("state string is empty")
-        bad = set(given) - {"0", "1"}
-        if bad:
-            raise BadCharacter("state string may only contain 0 and 1, got %r" % sorted(bad)[0])
+        if given.strip("01"):
+            cell = len(given) - len(given.lstrip("01"))
+            raise BadCharacter("state string may only contain 0 and 1, got %r at cell %d" % (given[cell], cell))
         given = np.frombuffer(given.encode("ascii"), dtype=np.uint8) - ord("0")
     vec = np.asarray(given)
     if vec.ndim != 1 or count is not None and vec.size != count:
         expected = "1-D" if count is None else "(%d,)" % count
         raise DimensionMismatch("%s has shape %s, expected %s" % (name, vec.shape, expected))
     if not _binary(vec):
-        raise StateDomainViolation("%s contains values outside %s" % (name, BINARY))
+        cell = np.flatnonzero((vec != 0) & (vec != 1))[0]
+        raise StateDomainViolation("%s has %r at cell %d, outside %s" % (name, vec[cell].item(), cell, BINARY))
     return vec.astype(np.int64)
 
 
@@ -194,7 +195,8 @@ def quantize(values) -> np.ndarray:
 
 def check_layers(layers: int, width: int, count: int | None = None) -> None:
     """Raise ``BadDimensions`` unless a net has an input layer and one more, each of one unit or more,
-    and ``DimensionMismatch`` unless its layers make ``count`` entities, when that is given."""
+    ``DimensionMismatch`` unless its layers make ``count`` entities, when that is given, and
+    ``OutOfRange`` if its weight blocks would hold more than ``MAX_WEIGHTS`` weights."""
     if layers < 2:
         raise BadDimensions("need at least 2 layers, got %d" % layers)
     if width < 1:
@@ -204,6 +206,9 @@ def check_layers(layers: int, width: int, count: int | None = None) -> None:
             "wiring has shape %s: %d layers of width %d make %d entities, not %d"
             % ((layers - 1, width, width), layers, width, layers * width, count)
         )
+    weights = (layers - 1) * width * width
+    if weights > MAX_WEIGHTS:
+        raise OutOfRange("%d layers of width %d need %d weights, more than %d" % (layers, width, weights, MAX_WEIGHTS))
 
 
 def check_steps(steps) -> None:

@@ -1,6 +1,7 @@
 """Threshold gates, weight quantization, and perceptron-rule training."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ def test_make_network_rejects_bad_dimensions():
         ann.make_network(2, 3, "10")
     with pytest.raises(DimensionMismatch):
         ann.make_network(2, 2, np.array([[0], [1]]))
+
+
+@pytest.mark.parametrize("layers, width", [(100_000, 1000), (3_000_000, 16), (2, 8193)])
+def test_make_network_refuses_a_net_past_the_weight_cap_before_sizing_it(layers, width):
+    # 746 GiB, 6.08 GiB, and one 8193 x 8193 block just past the cap; one 8192 x 8192 block is at it
+    core.check_layers(2, 8192)
+    assert (layers - 1) * width * width > core.MAX_WEIGHTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="more than %d" % core.MAX_WEIGHTS):
+            ann.make_network(layers, width, "0" * width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_make_network_rejects_a_fractional_pattern():

@@ -349,6 +349,23 @@ def test_parse_sizes_no_weight_blocks_by_layers_that_do_not_make_p():
     assert peak < 1 << 20
 
 
+def test_parse_refuses_a_net_past_the_weight_cap_before_sizing_it():
+    # 60,128 bytes whose 2 layers of width 30,000 make p but would ask for 6.7 GiB of blocks
+    text = (
+        "amp 1\nkind ann\np 60000\nstates 01\nschedule layered 2 30000\nmilieu:\nupdate:\n"
+        "layers 2\nwidth 30000\nstrategy threshold\ninit %s\nsteps 1\n" % ("0" * 60000)
+    )
+    assert len(text) == 60128
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="2 layers of width 30000 need 900000000 weights"):
+            autoprog.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_a_ring_that_fails_to_bind_leaves_nothing_behind():
     # 3,104 bytes whose init matches p 3000 but whose milieu has no rows: the
     # rows are checked against ring_columns, with no p×p array

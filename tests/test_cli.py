@@ -292,6 +292,16 @@ def test_ann_train_rejects_a_rate_that_leaves_the_weight_grid(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "9-decimal grid" in err
 
 
+@pytest.mark.parametrize("layers, width", [("100000", "1000"), ("3000000", "16")])
+def test_ann_train_refuses_a_net_past_the_weight_cap(capsys, layers, width):
+    argv = ["ann-train", "--layers", layers, "--width", width, "--init", "0" * int(width),
+            "--target", "1" * int(width), "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: %s layers of width %s need " % (layers, width))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -558,6 +568,38 @@ def test_malformed_config_lines_exit_two(capsys, tmp_path):
         ["ca-search", "--config", str(conf), "--init", "010", "--target", "010", "--steps", "1"],
     )
     assert code == 2
+
+
+def test_config_values_of_the_wrong_type_get_the_flags_usage_error(capsys, tmp_path):
+    conf = tmp_path / "search.conf"
+    conf.write_text("budget 1.5\n")
+    code, out, err = run_cli(capsys, ["ca-search", "--config", str(conf), "--init", INIT, "--target", TARGET,
+                                      "--steps", str(STEPS), "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --budget: invalid int value: '1.5'")
+
+
+# one flag per subcommand, with the rest of its command line; {ring} is the README ring's file
+FLAG_CASES = [
+    ("ca-run", ["--init", INIT, "--steps", "3"], "rule", "110"),
+    ("ca-search", ["--init", INIT, "--target", TARGET, "--steps", str(STEPS)], "seed", "42"),
+    ("ca-enumerate", ["--init", INIT, "--target", TARGET], "steps", str(STEPS)),
+    ("ann-train", ["--layers", "3", "--width", "4", "--init", "1010", "--target", "0110"], "seed", "7"),
+    ("codegen", ["--model", "{ring}"], "backend", "python"),
+    ("verify", ["--model", "{ring}", "--timeout", "30"], "backend", "python"),
+    ("demodulate", [], "model", "{ring}"),
+]
+
+
+@pytest.mark.parametrize("command, argv, key, value", FLAG_CASES, ids=[case[0] for case in FLAG_CASES])
+def test_a_config_line_acts_as_its_flag(capsys, tmp_path, readme_ring, command, argv, key, value):
+    argv, value = [token.format(ring=readme_ring) for token in argv], value.format(ring=readme_ring)
+    conf = tmp_path / "flag.conf"
+    conf.write_text("%s %s\n" % (key, value))
+    by_flag = run_cli(capsys, [command] + argv + ["--" + key, value])
+    by_config = run_cli(capsys, [command, "--config", str(conf)] + argv)
+    assert by_flag[0] in (0, 1)
+    assert by_config[:2] == by_flag[:2]
 
 
 def test_config_files_that_are_not_utf8_exit_two(capsys, tmp_path):

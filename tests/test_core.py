@@ -72,6 +72,20 @@ def test_state_vector_rejects_bad_characters():
         core.state_vector("0102")
 
 
+@pytest.mark.parametrize(
+    "given, error, message",
+    [
+        ("0120", BadCharacter, "got '2' at cell 2"),
+        ([0, 1, 2, 1], StateDomainViolation, "has 2 at cell 2, outside (0, 1)"),
+        (np.array([1.0, 0.0, 1.0, 0.5]), StateDomainViolation, "has 0.5 at cell 3, outside (0, 1)"),
+    ],
+)
+def test_state_errors_name_the_first_bad_cell(given, error, message):
+    with pytest.raises(error) as caught:
+        core.state_vector(given)
+    assert message in str(caught.value)
+
+
 def test_state_vector_rejects_empty_strings():
     with pytest.raises(EmptyInput):
         core.state_vector("")
