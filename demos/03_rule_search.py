@@ -14,7 +14,7 @@ STEPS = 15
 
 
 def main():
-    problem = search.Problem.from_strings(INIT, TARGET, STEPS)
+    problem = search.Problem(INIT, TARGET, STEPS)
 
     def log(attempt):
         if attempt.index <= 5 or attempt.score == 1.0:

@@ -14,8 +14,10 @@ do not ascend. Text that parses but describes something invalid (an index out
 of range, a bad state character) raises ``SemanticError``. Both carry the line
 they were read from. Documents whose milieu or schedule break a system
 invariant raise the same typed errors as direct construction does, before
-anything is sized by them; a ring whose rows are not its ring, or a net weight
-off its layer blocks that does not round to 0, raises ``UnsupportedKind``.
+anything is sized by them, and a net's shape errors name its ``width`` line.
+A ring whose rows are not its ring, or a net weight off its layer blocks that
+does not round to 0, raises ``UnsupportedKind``. A target is checked after
+binding, against the bound system's width.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from . import ann, ca, core
 from .errors import (
     BadCharacter,
+    BadDimensions,
     CompileFailed,
     DimensionMismatch,
     EmptyInput,
@@ -153,9 +156,9 @@ def _float(text: str, what: str, number: int) -> float:
     return value
 
 
-def _state_vector(reader: _Reader, key: str, expected: int) -> np.ndarray:
-    """The state of ``expected`` cells on the '<key> <0s and 1s>' line."""
-    number, (text,) = _line(reader, key)
+def _state_vector(line: tuple[int, list[str]], key: str, expected: int) -> np.ndarray:
+    """The state of ``expected`` cells on a '<key> <0s and 1s>' line, as ``_line`` returned it."""
+    number, (text,) = line
     try:
         return core.state_vector(text, expected, key)
     except (BadCharacter, EmptyInput, DimensionMismatch) as err:
@@ -215,8 +218,6 @@ def parse(text: str) -> Document:
         layered = None
     elif len(schedule) == 3 and schedule[0] == "layered":
         layered = (_int(schedule[1], "layer count", number), _int(schedule[2], "layer width", number))
-        if layered[0] < 2 or layered[1] < 1:
-            raise SemanticError("layered schedules need layers >= 2 and width >= 1", number)
     else:
         raise ParseError("schedule is 'synchronous' or 'layered <layers> <width>'", number)
 
@@ -237,6 +238,10 @@ def parse(text: str) -> Document:
         number, width = _count(reader, "width", "layer width")
         if (layers, width) != layered:
             raise SemanticError("update section disagrees with the schedule line", number)
+        try:
+            core.check_layers(layers, width, p)  # before anything is sized by them
+        except (BadDimensions, DimensionMismatch, OutOfRange) as err:
+            raise type(err)("line %d: %s" % (number, err)) from None
         number, (strategy,) = _line(reader, "strategy")
         if strategy != "threshold":
             raise SemanticError("the only supported gate strategy is 'threshold'", number)
@@ -250,15 +255,13 @@ def parse(text: str) -> Document:
                 raise SemanticError("input-layer entity %d cannot carry a bias" % i, number)
             biased.append(i)
 
-    init = _state_vector(reader, "init", p)
+    init = _state_vector(_line(reader, "init"), "init", p)
 
     number, steps = _count(reader, "steps", "step count")
     if steps < 0:
         raise SemanticError("step count must not be negative, got %d" % steps, number)
 
-    target = None
-    if reader.at("target"):
-        target = _state_vector(reader, "target", p if kind == "ca" else width)
+    target = _line(reader, "target") if reader.at("target") else None
 
     if reader.item is not None:
         raise ParseError("unexpected content after the document", reader.item[0])
@@ -267,7 +270,6 @@ def parse(text: str) -> Document:
     rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     wiring = None
     if kind == "ann":
-        core.check_layers(layers, width, p)  # before the blocks are sized by them
         # block l-1 holds the weights from layer l-1 into layer l; any other
         # entry must round to 0 on the weight grid, and is then dropped
         layer, weights = rows // width, np.array(weights)
@@ -290,6 +292,8 @@ def parse(text: str) -> Document:
             raise UnsupportedKind("milieu is not the ring each cell needs")
     elif core.quantize(weights[~inside]).any():
         raise UnsupportedKind("weights must connect consecutive layers only")
+    if target is not None:
+        target = _state_vector(target, "target", system.width)
     return Document(system=system, steps=steps, target=target)
 
 

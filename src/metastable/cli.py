@@ -61,7 +61,7 @@ def _cmd_ca_run(args) -> int:
 
 
 def _cmd_ca_search(args) -> int:
-    problem = search.Problem.from_strings(args.init, args.target, args.steps)
+    problem = search.Problem(args.init, args.target, args.steps)
     seed = _pick_seed(args)
 
     def show(attempt: search.Attempt) -> None:
@@ -76,7 +76,7 @@ def _cmd_ca_search(args) -> int:
 
 
 def _cmd_ca_enumerate(args) -> int:
-    problem = search.Problem.from_strings(args.init, args.target, args.steps)
+    problem = search.Problem(args.init, args.target, args.steps)
     solutions = search.exhaustive_search(problem)
     for rule in solutions:
         print(rule)

@@ -1,10 +1,11 @@
 """Search for rules that carry an initial state to a target state.
 
-``evaluate`` is the reference path for one rule: it binds a system, runs it
-for the problem's steps, and scores the final state against the target.
-The rule space has only 256 members, so both searches instead score all of
-them at once: ``score_table`` steps one (256, p) array, a row per rule
-number, and gives each rule exactly the float ``evaluate`` gives it.
+A ``Problem`` is checked once, when it is made. ``evaluate`` is the reference
+path for one rule: it binds a system, runs it for the problem's steps, and
+scores the final state against the target. The rule space has only 256
+members, so both searches instead score all of them at once: ``score_table``
+steps one (256, p) array, a row per rule number, and gives each rule exactly
+the float ``evaluate`` gives it.
 
 ``random_search`` draws one rule per attempt and looks its score up in the
 problem's table. The draw contract: attempt k (0-based) draws
@@ -46,23 +47,23 @@ from typing import Callable
 import numpy as np
 
 from . import ca, core
-from .errors import DimensionMismatch, OutOfRange
+from .errors import OutOfRange
 
 
 @dataclasses.dataclass(frozen=True)
 class Problem:
-    """Initial state, target state, and how many steps lie between them."""
+    """Initial state, target state (each a '0'/'1' string or an array) and the steps between them,
+    checked when made: ``init`` binds as a ring, ``target`` has as many cells, ``steps`` is an int >= 0."""
 
     init: np.ndarray
     target: np.ndarray
     steps: int
 
-    @classmethod
-    def from_strings(cls, init: str, target: str, steps: int) -> "Problem":
-        init_vec = core.state_vector(init, name="init")
-        target_vec = core.state_vector(target, init_vec.size, "target")
-        core.check_steps(steps)
-        return cls(init=init_vec, target=target_vec, steps=steps)
+    def __post_init__(self):
+        init = ca.make_automaton(0, self.init).init
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "target", core.state_vector(self.target, init.size, "target"))
+        core.check_steps(self.steps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,23 +220,16 @@ def score_table(problem: Problem) -> np.ndarray:
 
     One run steps a (256, p) array of ``uint8`` cells, row r under rule r:
     each step forms every cell's neighbourhood code from its left, centre and
-    right neighbours and reads that bit of the row's rule number. A problem
-    ``evaluate`` would reject raises the same typed error here.
+    right neighbours and reads that bit of the row's rule number.
     """
-    system = ca.make_automaton(0, problem.init)
-    core.check_steps(problem.steps)
-    count = system.count
-    target = np.asarray(problem.target)
-    if target.shape != (count,):
-        raise DimensionMismatch("cannot match shapes %s and %s" % ((count,), target.shape))
     rules = np.arange(ca.RULE_COUNT, dtype=np.uint8)[:, None]
-    cells = np.repeat(system.init.astype(np.uint8)[None, :], ca.RULE_COUNT, axis=0)
+    cells = np.repeat(problem.init.astype(np.uint8)[None, :], ca.RULE_COUNT, axis=0)
     for _ in range(problem.steps):
         # bit ``code`` of rule r is its output for that code
         cells = (rules >> ca.ring_codes(cells)) & 1
     # core.match's mean, row by row: a count of equal cells is exact in
     # float64, so each row's score is the same float as evaluate's.
-    return np.mean(cells == target, axis=1)
+    return np.mean(cells == problem.target, axis=1)
 
 
 def random_search(
@@ -274,15 +268,6 @@ def random_search(
     return SearchReport(solution=None, attempts=budget, best_rule=best_rule, best_score=best_score)
 
 
-def exhaustive_search(
-    problem: Problem,
-    log: Callable[[Attempt], None] | None = None,
-) -> list[int]:
+def exhaustive_search(problem: Problem) -> list[int]:
     """Score all 256 rules in order; return every rule that hits the target."""
-    solutions = []
-    for rule, score in enumerate(score_table(problem).tolist()):
-        if log is not None:
-            log(Attempt(index=rule + 1, rule=rule, score=score))
-        if score == 1.0:
-            solutions.append(rule)
-    return solutions
+    return np.flatnonzero(score_table(problem) == 1.0).tolist()

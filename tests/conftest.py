@@ -23,7 +23,7 @@ RULE_110_BITS = (0, 1, 1, 1, 0, 1, 1, 0)
 def reference_problem():
     from metastable import search
 
-    return search.Problem.from_strings(INIT, TARGET, STEPS)
+    return search.Problem(INIT, TARGET, STEPS)
 
 
 def make_rng(seed: int) -> np.random.Generator:

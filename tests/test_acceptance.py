@@ -49,7 +49,7 @@ def test_trajectory_reproduction(capsys):
 
 def test_exhaustive_solution_set(capsys):
     """Scoring all 256 rules pins the reference solution set to exactly {110}."""
-    problem = search.Problem.from_strings(INIT, TARGET, STEPS)
+    problem = search.Problem(INIT, TARGET, STEPS)
     t0 = time.perf_counter()
     solutions = search.exhaustive_search(problem)
     elapsed = time.perf_counter() - t0
@@ -63,7 +63,7 @@ def test_exhaustive_solution_set(capsys):
 
 def test_random_search_success_rate(capsys):
     """Across 200 seeds, at least 90% of searches hit the rule within 1000 draws."""
-    problem = search.Problem.from_strings(INIT, TARGET, STEPS)
+    problem = search.Problem(INIT, TARGET, STEPS)
     assert len(search.exhaustive_search(problem)) == 1  # the 1-in-256 regime
     t0 = time.perf_counter()
     hits = 0
@@ -206,7 +206,7 @@ def test_behavioural_properties(capsys):
     ok = ok and np.array_equal(frozen.milieu, net.milieu)
 
     # determinism end to end
-    problem = search.Problem.from_strings(INIT, TARGET, STEPS)
+    problem = search.Problem(INIT, TARGET, STEPS)
     ok = ok and search.random_search(problem, 50, seed=3) == search.random_search(problem, 50, seed=3)
     t1 = ann.train(ann.make_network(3, 4, "1010", rng=make_rng(11)), "0111")
     t2 = ann.train(ann.make_network(3, 4, "1010", rng=make_rng(11)), "0111")

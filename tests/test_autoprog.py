@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import INIT, STEPS, TARGET, make_rng
 from metastable import ann, autoprog, ca, core
 from metastable.errors import (
+    BadDimensions,
     CompileFailed,
     DimensionMismatch,
     MetastableError,
@@ -274,6 +275,10 @@ def test_parse_rejects_wrong_target_length():
     doc = ca_document(target="0000000")
     with pytest.raises(SemanticError):
         autoprog.parse(_swap(autoprog.emit(doc), "target 0000000", "target 000"))
+    # a net's target is its output layer: 3 units, not the 9 entities of p
+    text = autoprog.emit(ann_document(layers=3, width=3, target="101"))
+    with pytest.raises(SemanticError, match="target has shape \\(9,\\), expected \\(3,\\)"):
+        autoprog.parse(_swap(text, "target 101", "target 101101101"))
 
 
 def test_parse_rejects_trailing_content():
@@ -341,12 +346,22 @@ def test_parse_sizes_no_weight_blocks_by_layers_that_do_not_make_p():
     assert len(text) == 127
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionMismatch, match="2 layers of width 30000 make 60000 entities, not 3"):
+        with pytest.raises(DimensionMismatch, match="^line 9: .*2 layers of width 30000 make 60000 entities, not 3"):
             autoprog.parse(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("layers, width", [(1, 3), (0, 3), (2, 0)])
+def test_parse_refuses_a_net_shape_on_its_width_line(layers, width):
+    text = (
+        "amp 1\nkind ann\np 3\nstates 01\nschedule layered %d %d\nmilieu:\nupdate:\n"
+        "layers %d\nwidth %d\nstrategy threshold\ninit 100\nsteps 1\n" % (layers, width, layers, width)
+    )
+    with pytest.raises(BadDimensions, match="^line 9: need "):
+        autoprog.parse(text)
 
 
 def test_parse_refuses_a_net_past_the_weight_cap_before_sizing_it():
@@ -358,7 +373,7 @@ def test_parse_refuses_a_net_past_the_weight_cap_before_sizing_it():
     assert len(text) == 60128
     tracemalloc.start()
     try:
-        with pytest.raises(OutOfRange, match="2 layers of width 30000 need 900000000 weights"):
+        with pytest.raises(OutOfRange, match="^line 9: 2 layers of width 30000 need 900000000 weights"):
             autoprog.parse(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

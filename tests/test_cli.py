@@ -456,6 +456,19 @@ def test_big_p_model_exits_two(capsys, tmp_path, reference_model):
     assert "init" in err
 
 
+def test_a_net_shape_error_names_its_width_line(capsys, tmp_path):
+    # the 127-byte document whose layers of width 30,000 do not make p 3
+    path = tmp_path / "unfit.amp"
+    path.write_text(
+        "amp 1\nkind ann\np 3\nstates 01\nschedule layered 2 30000\nmilieu:\nupdate:\n"
+        "layers 2\nwidth 30000\nstrategy threshold\ninit 100\nsteps 1\n"
+    )
+    code, out, err = run_cli(capsys, ["demodulate", "--model", str(path)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: line 9: wiring has shape (1, 30000, 30000): 2 layers of width 30000 make 60000")
+
+
 def test_demodulate_prints_both_halves(capsys, reference_model):
     code, out, err = run_cli(capsys, ["demodulate", "--model", reference_model])
     lines = out.splitlines()
