@@ -27,6 +27,7 @@ import dataclasses
 import math
 import os
 import re
+import selectors
 import shlex
 import shutil
 import signal
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from array import array
 
 import numpy as np
@@ -72,11 +74,6 @@ class Document:
             self.target = core.state_vector(self.target, self.system.width, "target")
 
     __eq__ = core.fields_equal
-
-
-def format_weight(value: float) -> str:
-    """Weights travel as 9-decimal text; grid values survive the round trip."""
-    return "%.*f" % (core.WEIGHT_DECIMALS, value)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -316,17 +313,17 @@ def emit(doc: Document) -> str:
     else:
         # the blocks' rows, in order, are units width, width+1, ...; the input layer reads nothing
         rows = [""] * width
-        for u, weights in enumerate(system.wiring.reshape(-1, width).tolist(), width):
+        for u, row in enumerate(system.wiring.reshape(-1, width).tolist(), width):
             first = (u // width - 1) * width  # the layer before u's own
-            rows.append(" ".join("%d=%s" % (first + j, format_weight(w)) for j, w in enumerate(weights) if w))
+            rows.append(" ".join(["%d=%.*f" % (first + j, core.WEIGHT_DECIMALS, w) for j, w in enumerate(row) if w]))
     lines += ["row %d: %s" % (i, entries) for i, entries in enumerate(rows) if entries]
     lines.append("update:")
     if system.kind == "ca":
         lines.append("table %s" % " ".join(str(b) for b in system.update.bits))
     else:
         lines += ["layers %d" % (system.count // width), "width %d" % width, "strategy threshold"]
-        for i in range(width, system.count):
-            lines.append("bias %d %s" % (i, format_weight(system.update.bias[i])))
+        biases = system.update.bias.tolist()[width:]
+        lines += ["bias %d %.*f" % (i, core.WEIGHT_DECIMALS, b) for i, b in enumerate(biases, width)]
     lines.append("init %s" % core.render_state(system.init))
     lines.append("steps %d" % doc.steps)
     if doc.target is not None:
@@ -373,7 +370,7 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
 
     def doubles(name: str, values) -> str:
         # float() and strtod both round correctly, so the program reads back each repr as the same double
-        values = [repr(float(v)) for v in values]
+        values = list(map(repr, values.tolist()))
         lines = (syntax["text_line"] % " ".join(values[i : i + 8]) for i in range(0, len(values), 8))
         fill = {"name": name, "count": len(values), "lines": "\n".join(lines)}
         loads.append(syntax["load"] % fill)
@@ -414,11 +411,11 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
     }
 
 
-# Each backend once: the source file's suffix and the default toolchain
-# command; how the language writes a constant, an int table, a double table as
-# text read at start-up, and the break in a comment over two lines; value(u)'s
-# body per kind, which gathers u's inputs from the stored wiring into the
-# neighbourhood code or input sum and gates it into the new state; and the template.
+# Each backend once: the source file's suffix and the default toolchain command; how the language writes
+# a constant, an int table, a double table as text read at start-up, and the break in a comment over two
+# lines; value(u)'s body per kind, which gathers u's inputs from the stored wiring into the neighbourhood
+# code or input sum and gates it into the new state; and the template, which in C declares the library
+# functions it calls (puts, strtod) rather than include headers that every build would parse.
 BACKENDS = {
     "c": {
         "suffix": ".c",
@@ -439,8 +436,9 @@ return s >= 0.5;""",
         },
         "template": """\
 /* structure */
-#include <stdio.h>
-#include <stdlib.h>
+/* the two library functions the program calls, declared so that no header is parsed (C11 7.1.4) */
+int puts(const char *);
+double strtod(const char *, char **);
 
 %(consts)s
 
@@ -562,7 +560,7 @@ class ToolchainConfig:
             raise ParseError("toolchain command must mention {src}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise OutOfRange("toolchain timeout must be finite and positive, got %r" % self.timeout)
-        if self.timeout > (2**31 - 1) / 1000:  # poll() takes its wait as a C int of milliseconds
+        if self.timeout > (2**31 - 1) / 1000:  # epoll_wait() takes its wait as a C int of milliseconds
             raise OutOfRange("toolchain timeout must be at most 2147483.647 s, got %r" % self.timeout)
 
 
@@ -573,6 +571,36 @@ def default_toolchain(backend: str) -> ToolchainConfig:
 def toolchain_available(backend: str) -> bool:
     """Whether the default toolchain for a backend can run here: its program is found."""
     return backend in BACKENDS and shutil.which(shlex.split(BACKENDS[backend]["command"])[0]) is not None
+
+
+def _communicate(proc: subprocess.Popen, timeout: float) -> tuple[bytes, bytes]:
+    """Both pipes read to their end once the shell has exited, or ``TimeoutExpired`` at the deadline. A pidfd
+    wakes the wait when the shell exits; where there is none, ``Popen.wait`` polls once both pipes close."""
+    deadline = time.monotonic() + timeout
+    chunks = {proc.stdout: [], proc.stderr: []}
+    try:
+        exited = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # not Linux, or a kernel before 5.3
+        exited = None
+    try:
+        with selectors.DefaultSelector() as selector:
+            for source in chunks if exited is None else [*chunks, exited]:
+                selector.register(source, selectors.EVENT_READ)
+            while selector.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise subprocess.TimeoutExpired(proc.args, timeout)
+                for key, _ in selector.select(remaining):
+                    data = b"" if key.fd == exited else os.read(key.fd, 1 << 16)
+                    if data:
+                        chunks[key.fileobj].append(data)
+                    else:
+                        selector.unregister(key.fileobj)
+    finally:
+        if exited is not None:
+            os.close(exited)
+    proc.wait(timeout=deadline - time.monotonic())  # at once where a pidfd saw the exit
+    return b"".join(chunks[proc.stdout]), b"".join(chunks[proc.stderr])
 
 
 def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") -> str:
@@ -600,7 +628,7 @@ def compile_and_run(source: str, config: ToolchainConfig, suffix: str = ".c") ->
             start_new_session=True,
         ) as proc:
             try:
-                stdout, stderr = proc.communicate(timeout=config.timeout)
+                stdout, stderr = _communicate(proc, config.timeout)
             except subprocess.TimeoutExpired:
                 raise RunTimeout("toolchain exceeded %.1fs" % config.timeout) from None
             finally:

@@ -140,7 +140,7 @@ class MetastableSystem:
 
 def render_state(values: np.ndarray) -> str:
     """Turn a state vector back into a string of '0' and '1' characters."""
-    return "".join("1" if v else "0" for v in values)
+    return (np.asarray(values, dtype=bool).view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def match(a, b) -> float:

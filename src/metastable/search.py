@@ -50,7 +50,7 @@ from . import ca, core
 from .errors import OutOfRange
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Problem:
     """Initial state, target state (each a '0'/'1' string or an array) and the steps between them,
     checked when made: ``init`` binds as a ring, ``target`` has as many cells, ``steps`` is an int >= 0."""
@@ -64,6 +64,8 @@ class Problem:
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "target", core.state_vector(self.target, init.size, "target"))
         core.check_steps(self.steps)
+
+    __eq__ = core.fields_equal
 
 
 @dataclasses.dataclass(frozen=True)

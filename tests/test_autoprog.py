@@ -555,6 +555,19 @@ def test_default_c_toolchain_builds_at_o0_without_fp_contraction():
     assert not any(flag.startswith("-O") and flag != "-O0" for flag in command)
 
 
+@pytest.mark.skipif(not autoprog.toolchain_available("c"), reason="no C toolchain")
+def test_generated_c_includes_no_header_and_builds_without_warnings(tmp_path):
+    # the program declares puts and strtod itself; gcc checks both against its built-ins
+    flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-Wno-overlength-strings", "-ffp-contract=off"]
+    for name, doc in (("ring", ca_document()), ("net", ann_document(layers=4, width=3))):
+        source = autoprog.generate(doc, "c")
+        assert "#include" not in source
+        (tmp_path / (name + ".c")).write_text(source)
+        command = ["cc", *flags, "-o", str(tmp_path / name), str(tmp_path / (name + ".c"))]
+        built = subprocess.run(command, capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
+
+
 # --- toolchain -------------------------------------------------------------
 
 
@@ -647,14 +660,50 @@ def _group_alive(pgid: int) -> bool:
 def test_an_interrupted_toolchain_leaves_no_process_behind(monkeypatch):
     groups = []
 
-    def interrupted(proc, *args, **kwargs):
+    def interrupted(proc, timeout):
         groups.append(proc.pid)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    # the interrupt lands in the wait; a missed seam times out in 2 s instead
+    monkeypatch.setattr(autoprog, "_communicate", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        autoprog.compile_and_run("x", autoprog.ToolchainConfig("sleep 47.5; true {src}"))
+        autoprog.compile_and_run("x", autoprog.ToolchainConfig("sleep 47.5; true {src}", timeout=2))
     assert not _group_alive(groups[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs a pidfd")
+def test_compile_and_run_wakes_on_exit_without_sleeping(monkeypatch):
+    def sleep(seconds):
+        raise AssertionError("time.sleep(%r) polled for the exit" % seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    config = autoprog.ToolchainConfig(command="cat {src}")
+    for k in range(20):
+        assert autoprog.compile_and_run("run %d\n" % k, config, suffix=".txt") == "run %d\n" % k
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_a_toolchain_that_closes_its_pipes_and_lingers_times_out(monkeypatch):
+    groups, wait = [], autoprog._communicate
+
+    def recorded(proc, timeout):
+        groups.append(proc.pid)
+        return wait(proc, timeout)
+
+    monkeypatch.setattr(autoprog, "_communicate", recorded)
+    config = autoprog.ToolchainConfig(command="exec >&- 2>&-; sleep 5; true {src}", timeout=0.5)
+    with pytest.raises(RunTimeout):
+        autoprog.compile_and_run("x", config)
+    assert not _group_alive(groups[0])
+
+
+def test_compile_and_run_falls_back_to_waiting_without_a_pidfd(monkeypatch):
+    monkeypatch.delattr(os, "pidfd_open", raising=False)
+    config = autoprog.ToolchainConfig(command="cat {src}")
+    assert autoprog.compile_and_run("hello\n", config, suffix=".txt") == "hello\n"
+    for command in ("cat {src} && sleep 5", "exec >&- 2>&-; sleep 5; true {src}"):
+        with pytest.raises(RunTimeout):
+            autoprog.compile_and_run("x", autoprog.ToolchainConfig(command=command, timeout=0.5))
 
 
 def test_compile_failures_carry_diagnostics():

@@ -19,10 +19,10 @@ from metastable import ann, autoprog, ca, cli
 
 DIGESTS = {
     "emit": "46e2ad3448c74e0a",
-    "c": "efca81f8b1519f7a",
+    "c": "e3c2c5be4b910b30",
     "python": "43b9a1dcb5145889",
     "interpret": "a4bf774678ace89e",
-    "cli": "767740494a795fd3",
+    "cli": "6d9a0819546fad3d",
 }
 
 

@@ -2,7 +2,6 @@
 
 import contextlib
 import os
-import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -430,11 +429,13 @@ def test_verify_builds_its_toolchain_from_the_flags(capsys, reference_model):
 
 
 def test_an_interrupted_verify_exits_130_without_a_traceback(capsys, monkeypatch, reference_model):
-    def interrupted(proc, *args, **kwargs):
+    def interrupted(proc, timeout):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    # the interrupt lands in the wait; a missed seam times out in 2 s instead
+    monkeypatch.setattr(autoprog, "_communicate", interrupted)
     argv = ["verify", "--model", reference_model, "--backend", "python", "--toolchain", "sleep 47.5; true {src}"]
+    argv += ["--timeout", "2"]
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (130, "", "error: interrupted\n")
 

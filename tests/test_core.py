@@ -67,6 +67,12 @@ def test_state_string_round_trip(text):
     assert core.render_state(core.state_vector(text)) == text
 
 
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300))
+def test_render_state_writes_each_cell_by_its_truth(values):
+    values = np.array(values, dtype=np.int64)
+    assert core.render_state(values) == "".join("1" if x else "0" for x in values)
+
+
 def test_state_vector_rejects_bad_characters():
     with pytest.raises(BadCharacter):
         core.state_vector("0102")

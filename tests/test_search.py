@@ -29,6 +29,15 @@ def test_problem_validation():
             search.Problem("010", "010", steps)
 
 
+def test_problems_compare_by_value():
+    problem = search.Problem("00100", "11101", 3)
+    assert problem == search.Problem(np.array([0, 0, 1, 0, 0]), np.array([1, 1, 1, 0, 1]), 3)
+    assert problem != search.Problem("00100", "11101", 4)
+    assert problem != search.Problem("00100", "11100", 3)
+    with pytest.raises(TypeError):  # arrays inside: unhashable, as autoprog.Document is
+        hash(problem)
+
+
 def test_attempt_draws_are_pinned_to_seed_and_index():
     # frozen draws from the per-attempt child streams
     assert search.rule_for_attempt(163, 0) == 0
