@@ -26,7 +26,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import re
 import selectors
 import shlex
 import shutil
@@ -79,18 +78,12 @@ class Document:
 # --- parsing ---------------------------------------------------------------
 
 
-# One line as str.splitlines cuts it, then its break; the text's end adds one
-# empty match, which reads as a blank line.
-_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
-_LINE = re.compile("([^%s]*)(?:\r\n|[%s])?" % (_BREAKS, _BREAKS))
-
-
 class _Reader:
-    """Lines with comments stripped and blanks dropped, plus line numbers,
-    split one at a time as the parser asks for them."""
+    """Lines as ``str.splitlines`` cuts them, with comments stripped and blanks
+    dropped, plus line numbers; each is split into tokens as the parser asks for it."""
 
     def __init__(self, text: str):
-        tokens = (match[1].split("#", 1)[0].split() for match in _LINE.finditer(text))
+        tokens = (line.split("#", 1)[0].split() for line in text.splitlines())
         self.items = ((number, line) for number, line in enumerate(tokens, 1) if line)
         self.item = next(self.items, None)
 
@@ -537,10 +530,6 @@ def generate(doc: Document, backend: str) -> str:
     return syntax["template"] % _fields(doc, syntax)
 
 
-def source_suffix(backend: str) -> str:
-    return _backend(backend)["suffix"]
-
-
 # --- toolchain -------------------------------------------------------------
 
 
@@ -653,7 +642,6 @@ class VerifyReport:
     """Did the generated program print exactly what the interpreter computed."""
 
     equal: bool
-    expected: str
     actual: str
     mismatch_line: int | None
 
@@ -662,10 +650,8 @@ class VerifyReport:
         """``mismatch_line`` is the 1-based line of the first differing character, counted in
         ``expected``: interpreter text, whose only line break is ``\\n``. A line that differs only
         in how it ends (a missing final newline) is the line reported."""
-        if expected == actual:
-            return VerifyReport(equal=True, expected=expected, actual=actual, mismatch_line=None)
-        where = os.path.commonprefix([expected, actual]).count("\n") + 1
-        return VerifyReport(equal=False, expected=expected, actual=actual, mismatch_line=where)
+        where = None if expected == actual else os.path.commonprefix([expected, actual]).count("\n") + 1
+        return VerifyReport(equal=where is None, actual=actual, mismatch_line=where)
 
 
 def verify(doc: Document, backend: str, toolchain: ToolchainConfig | None = None) -> VerifyReport:
@@ -673,5 +659,5 @@ def verify(doc: Document, backend: str, toolchain: ToolchainConfig | None = None
     expected = interpret_text(doc)
     source = generate(doc, backend)
     config = toolchain if toolchain is not None else default_toolchain(backend)
-    actual = compile_and_run(source, config, suffix=source_suffix(backend))
+    actual = compile_and_run(source, config, suffix=_backend(backend)["suffix"])
     return VerifyReport.compare(expected, actual)

@@ -188,9 +188,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
     flag("--width", type=int, required=True, help="units per layer")
     flag("--init", required=True, help="input pattern, width characters of 0s and 1s")
     flag("--target", required=True, help="wanted output pattern, width characters")
-    flag("--rate", type=float, default=0.1, help="learning rate (default 0.1)")
-    flag("--epochs", type=int, default=200, help="epoch cap (default 200)")
-    flag("--budget", type=int, default=100000, help="correction cap (default 100000)")
+    training = ann.TrainingConfig()
+    flag("--rate", type=float, default=training.rate, help="learning rate (default %(default)s)")
+    flag("--epochs", type=int, default=training.epochs, help="epoch cap (default %(default)s)")
+    flag("--budget", type=int, default=training.budget, help="correction cap (default %(default)s)")
     flag("--goal", type=float, default=1.0, help="match that counts as success (default 1.0)")
     flag("--seed", type=int, help="weight seed (default: fresh, echoed to stderr)")
 
@@ -231,17 +232,12 @@ def _with_config(argv: list[str], index: dict[str, list[str]]) -> list[str]:
     if not argv or argv[0] not in index:
         return argv
     command, rest = argv[0], argv[1:]
-    options = index[command]
-    path = None
-    for k, token in enumerate(rest):
-        # argparse takes any unambiguous prefix of a long flag: --conf, --c=FILE
-        name, eq, value = token.partition("=")
-        if name[:2] != "--" or [key for key in options if key.startswith(name[2:])] != ["config"]:
-            continue
-        if eq:
-            path = value
-        elif k + 1 < len(rest):
-            path = rest[k + 1]
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(rest)[0].config
+    except argparse.ArgumentError:  # a --config with no value, which the full parser reports
+        return argv
     if path is None:
         return argv
     try:
@@ -249,7 +245,7 @@ def _with_config(argv: list[str], index: dict[str, list[str]]) -> list[str]:
     except (OSError, MetastableError) as err:
         raise MetastableError("cannot read config: %s" % err) from None
     for key, _ in pairs:
-        if key == "config" or key not in options:
+        if key == "config" or key not in index[command]:
             raise MetastableError("unknown config key '%s' for %s" % (key, command))
     return [command] + ["--%s=%s" % pair for pair in pairs] + rest
 

@@ -284,19 +284,22 @@ def active(system: MetastableSystem, t: int) -> slice:
     return slice(lo, lo + width)
 
 
-def _next_state(system: MetastableSystem, active: slice) -> np.ndarray:
-    """The state vector after the entities in ``active`` update, freshly allocated."""
-    values = system.update.propagate(system, active)
+def _next_state(system: MetastableSystem, t: int) -> np.ndarray:
+    """The state vector after step t's active entities update, freshly allocated."""
+    cells = active(system, t)
+    values = system.update.propagate(system, cells)
     if not _binary(values):
-        raise UpdateDomainViolation("update produced values outside %s" % (system.states,))
+        k = np.flatnonzero((values != 0) & (values != 1))[0]
+        message = "step %d: update produced %r at cell %d, outside %s"
+        raise UpdateDomainViolation(message % (t, values[k].item(), cells.start + k, system.states))
     nxt = system.current.copy()
-    nxt[active] = values
+    nxt[cells] = values
     return nxt
 
 
 def step(system: MetastableSystem, t: int = 0) -> MetastableSystem:
     """Advance one step: the active entities update, the rest carry over."""
-    return dataclasses.replace(system, current=_next_state(system, active(system, t)))
+    return dataclasses.replace(system, current=_next_state(system, t))
 
 
 def walk(system: MetastableSystem, steps: int) -> Iterator[np.ndarray]:
@@ -308,7 +311,7 @@ def walk(system: MetastableSystem, steps: int) -> Iterator[np.ndarray]:
     def states():
         yield work.current
         for t in range(steps):
-            work.current = _next_state(work, active(work, t))
+            work.current = _next_state(work, t)
             yield work.current
 
     return states()

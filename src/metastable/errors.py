@@ -10,7 +10,8 @@ class MetastableError(Exception):
 
 
 class DimensionMismatch(MetastableError):
-    """Tuple lengths, matrix shapes, or update-function arity disagree."""
+    """Shapes disagree: a state and its cell count, a net's wiring or bias and its
+    layers, or the two states given to ``match``."""
 
 
 class StateDomainViolation(MetastableError):
@@ -18,7 +19,7 @@ class StateDomainViolation(MetastableError):
 
 
 class UpdateDomainViolation(MetastableError):
-    """An update function produced a value outside the state set."""
+    """An update function produced a value outside the state set, at the step and first cell it names."""
 
 
 class TooFewEntities(MetastableError):
@@ -38,7 +39,7 @@ class BadDimensions(MetastableError):
 
 
 class NonFiniteInput(MetastableError):
-    """An activation input is NaN or infinite."""
+    """A net's bias or weight is NaN or infinite."""
 
 
 class EmptyInput(MetastableError):
@@ -46,7 +47,9 @@ class EmptyInput(MetastableError):
 
 
 class UnsupportedKind(MetastableError):
-    """The requested combination of model kind and schedule is not supported."""
+    """A system outside the two kinds: an unknown update kind, a ring with a layered schedule, given
+    wiring or a milieu that is not the ring, a net weight off its layer blocks, a bias on the input
+    layer, or training a system that is not a net."""
 
 
 class DocumentError(MetastableError):

@@ -40,7 +40,6 @@ solution, which also pins down how many exist.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import operator
 from typing import Callable
 
@@ -120,7 +119,6 @@ def _word_count(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-@functools.lru_cache(maxsize=64)
 def _hash_steps(h: int, count: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
     """``count`` steps of the hash ``v ^= h; h *= mult; v *= h`` from ``h``:
     the xor and multiply constants as (count, 1) columns, and the h after."""
@@ -130,7 +128,6 @@ def _hash_steps(h: int, count: int, mult: int) -> tuple[np.ndarray, np.ndarray, 
         h = h * mult & _MASK32
         mults.append(h)
     columns = np.array([xors, mults], np.uint32)[:, :, None]
-    columns.flags.writeable = False  # cached: every caller shares these
     return columns[0], columns[1], h
 
 

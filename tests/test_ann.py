@@ -94,7 +94,7 @@ def test_gate_sums_in_ascending_order(backend):
     doc = autoprog.Document(system=net, steps=1)
     source = autoprog.generate(doc, backend)
     toolchain = autoprog.default_toolchain(backend)
-    out = autoprog.compile_and_run(source, toolchain, autoprog.source_suffix(backend))
+    out = autoprog.compile_and_run(source, toolchain, autoprog.BACKENDS[backend]["suffix"])
     assert out.splitlines()[-1] == "1" * 16 + "0" * 16
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INIT, STEPS, TARGET, make_rng
+from conftest import DOCUMENT_EDITS, INIT, STEPS, TARGET, make_rng, mutate
 from metastable import ann, autoprog, ca, core
 from metastable.errors import (
     BadDimensions,
@@ -79,6 +79,24 @@ def test_comments_and_blank_lines_are_ignored():
     text = autoprog.emit(ca_document())
     sprinkled = "# a note\n\n" + text.replace("steps 3", "steps 3  # three steps")
     assert autoprog.parse(sprinkled) == ca_document()
+
+
+# every line boundary str.splitlines knows; "\r\n" is one break
+LINE_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_lines_end_at_every_break_that_splitlines_knows():
+    doc = ann_document(target="101")
+    lines = autoprog.emit(doc).splitlines()
+    assert len(lines) > 2 * len(LINE_BREAKS)
+    # line i ends in break i, cycling, so each break ends at least two lines
+    assert autoprog.parse("".join(line + LINE_BREAKS[i % len(LINE_BREAKS)] for i, line in enumerate(lines))) == doc
+    init = next(i for i, line in enumerate(lines) if line.startswith("init "))
+    for brk in LINE_BREAKS:
+        # a bad init after one of each break: the error names the line an editor shows, line init + 1
+        text = "\n".join(lines[:init]) + brk + "init 1x1" + brk + "\n".join(lines[init + 1 :])
+        with pytest.raises(SemanticError, match="^line %d: init: " % (init + 1)):
+            autoprog.parse(text)
 
 
 def test_emit_requires_a_fresh_system():
@@ -433,46 +451,13 @@ MUTATION_BASES = {
     "ca": autoprog.emit(ca_document(target="0110110")),
     "ann": autoprog.emit(ann_document(target="101")),
 }
-MUTATION_TOKENS = st.sampled_from(
-    [
-        "0", "1", "-1", "2", "3", "7", "1000000", "99999999999", "1e400", "1e300",
-        "nan", "inf", "row", "0:", "9:", "3=0.5", "0=nan", "bias", "p", "init",
-        "steps", "target", "010", "layered", "synchronous", "milieu:", "update:",
-    ]
-) | st.text(alphabet="01-=:.e9x #", max_size=6)
 
 
-@given(
-    st.sampled_from(sorted(MUTATION_BASES)),
-    st.lists(
-        st.tuples(
-            st.sampled_from(("set", "insert", "drop", "copy")),
-            st.integers(0, 99),
-            st.integers(0, 99),
-            MUTATION_TOKENS,
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
+@given(st.sampled_from(sorted(MUTATION_BASES)), DOCUMENT_EDITS)
 @settings(max_examples=300, deadline=None)
 def test_mutated_documents_parse_or_raise_typed_errors(kind, edits):
-    lines = [line.split() for line in MUTATION_BASES[kind].splitlines()]
-    for op, at, pos, token in edits:
-        if not lines:
-            break
-        line = lines[at % len(lines)]
-        if op == "set":
-            line[pos % len(line)] = token
-        elif op == "insert":
-            line.insert(pos % (len(line) + 1), token)
-        elif op == "drop":
-            lines.remove(line)
-        else:
-            lines.insert(at % len(lines), list(line))
-    text = "\n".join(" ".join(line) for line in lines)
     try:
-        autoprog.parse(text)
+        autoprog.parse(mutate(MUTATION_BASES[kind], edits))
     except SemanticError as err:
         assert err.line is not None
     except MetastableError:
@@ -518,8 +503,6 @@ def test_generated_source_has_the_four_sections(backend, comment, docmaker):
 def test_generate_rejects_unknown_backends():
     with pytest.raises(NoBackendConfigured):
         autoprog.generate(ca_document(), "fortran")
-    with pytest.raises(NoBackendConfigured):
-        autoprog.source_suffix("fortran")
     with pytest.raises(NoBackendConfigured):
         autoprog.default_toolchain("fortran")
 

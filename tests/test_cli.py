@@ -1,14 +1,17 @@
 """Command line behaviour: grammars, exit codes, seeds, and config files."""
 
 import contextlib
+import io
 import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import INIT, STEPS, TARGET, make_rng
+from conftest import DOCUMENT_EDITS, INIT, STEPS, TARGET, make_rng, mutate
 from metastable import ann, autoprog, ca, cli, core
 from metastable.errors import UnsupportedKind
 
@@ -634,3 +637,79 @@ def test_config_keys_must_name_a_long_flag_in_full(capsys, tmp_path, line):
     assert code == 2
     assert out == ""
     assert err == "error: unknown config key '%s' for ca-run\n" % line.split()[0]
+
+
+# --- fuzzing the files the CLI reads ---------------------------------------------
+
+FUZZ_DOCUMENTS = [
+    autoprog.emit(autoprog.Document(ca.make_automaton(110, "0010110"), 3, core.state_vector("0110110"))),
+    autoprog.emit(autoprog.Document(ann.make_network(3, 3, "101", rng=make_rng(4)), 2, core.state_vector("011"))),
+]
+# a valid, quick config per subcommand, which the fuzz then edits; verify is left out because a
+# document with steps in the billions still exhausts its memory (the streaming verify will fix that)
+FUZZ_CONFIGS = {
+    "ca-run": {"rule": "110", "init": "0010110", "steps": "3", "target": "0110110"},
+    "ca-search": {"init": "0010110", "target": "0110110", "steps": "3", "budget": "5", "seed": "1"},
+    "ca-enumerate": {"init": "0010110", "target": "0110110", "steps": "3"},
+    "ann-train": {"layers": "3", "width": "3", "init": "101", "target": "011", "epochs": "3", "seed": "1"},
+    "codegen": {"model": "{doc}", "backend": "python"},
+    "demodulate": {"model": "{doc}"},
+}
+# the keys that set the amount of work (steps, budget, epochs, layers, width) take small values only,
+# as time follows them by design; {dir} is a directory and {doc} the example's mutated document
+FUZZ_SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "x", "2.5", "1e3", "nan"])
+FUZZ_JUNK = st.text(alphabet="01x -=#.", max_size=8)
+FUZZ_VALUES = {
+    "steps": FUZZ_SMALL,
+    "budget": FUZZ_SMALL,
+    "epochs": FUZZ_SMALL,
+    "layers": FUZZ_SMALL,
+    "width": FUZZ_SMALL,
+    "rule": st.sampled_from(["-1", "0", "110", "255", "256", "1.5"]),
+    "seed": st.sampled_from(["-1", "0", "42", "99999999999999999999"]),
+    "rate": st.sampled_from(["0", "0.1", "-1", "nan", "inf", "1e300"]),
+    "goal": st.sampled_from(["0", "0.5", "2", "-1", "nan"]),
+    "backend": st.sampled_from(["c", "python", "fortran"]),
+    "model": st.sampled_from(["{doc}", "{dir}", "{dir}/missing.amp", "{dir}/binary.amp"]),
+    "output": st.sampled_from(["{dir}/out.src", "{dir}", "{dir}/missing/out.src"]),
+}
+FUZZ_KEYS = cli.build_parser()[1]  # each subcommand's long flags
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "binary.amp").write_bytes(b"\xff\xfe\n")
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_documents_and_config_files_exit_0_to_3_without_a_traceback(fuzz_dir, data):
+    doc, conf = fuzz_dir / "model.amp", fuzz_dir / "fuzz.conf"
+    doc.write_text(mutate(data.draw(st.sampled_from(FUZZ_DOCUMENTS)), data.draw(DOCUMENT_EDITS | st.just([]))))
+    command = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    pairs = dict(FUZZ_CONFIGS[command])
+    keys = FUZZ_KEYS[command] + ["help", "rul"]  # config among them
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
+        pairs[key] = data.draw(FUZZ_VALUES.get(key, FUZZ_JUNK) | st.none())  # None drops the line
+    lines = ["%s %s\n" % pair for pair in pairs.items() if pair[1] is not None]
+    conf.write_text("".join(lines).format(doc=doc, dir=fuzz_dir))
+    model = data.draw(st.just("{doc}") | FUZZ_VALUES["model"]).format(doc=doc, dir=fuzz_dir)
+    backend = data.draw(st.sampled_from(["c", "python"]))
+    for argv in (
+        [command, "--config", str(conf)],
+        ["codegen", "--model", model, "--backend", backend],
+        ["demodulate", "--model", model],
+    ):
+        code, err = run_quietly(argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "Traceback" not in err
+

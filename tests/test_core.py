@@ -433,6 +433,29 @@ def test_step_rejects_update_outside_the_state_set():
         core.step(bad)
 
 
+def test_an_update_outside_the_state_set_names_its_step_and_first_bad_cell():
+    class WrongAtStepOne:
+        """Keeps every active entity as it is, but at step 1 puts 7 and 5 in its second and third."""
+
+        def __init__(self, kind):
+            self.kind, self.calls = kind, 0
+
+        def propagate(self, system, active):
+            values = system.current[active].copy()
+            if self.calls == 1:
+                values[1:3] = (7, 5)
+            self.calls += 1
+            return values
+
+    ring = ca.make_automaton(110, "01011")
+    with pytest.raises(UpdateDomainViolation, match=r"^step 1: update produced 7 at cell 1, outside \(0, 1\)$"):
+        core.run(dataclasses.replace(ring, update=WrongAtStepOne("ca")), 3)
+    # step 1 of a 4-layer net of width 3 updates layer 2, cells 6 to 8
+    net = ann.make_network(4, 3, "101", rng=np.random.default_rng(0))
+    with pytest.raises(UpdateDomainViolation, match=r"^step 1: update produced 7 at cell 7, outside \(0, 1\)$"):
+        core.run(dataclasses.replace(net, update=WrongAtStepOne("ann")), 3)
+
+
 def test_trajectories_are_deterministic():
     a = core.run(ca.make_automaton(110, INIT), 15)
     b = core.run(ca.make_automaton(110, INIT), 15)
