@@ -73,7 +73,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
     if bias is None:
         bias = np.zeros(count, dtype=np.float64)
 
-    structural = core.Structural(init=init, current=init.copy())
+    structural = core.Structural(init=init, current=init)
     # modulate and ThresholdGate put weights and bias on the text form's grid
     operational = core.Operational(update=ThresholdGate(bias=bias), wiring=weights)
     return core.modulate(structural, operational)
@@ -81,7 +81,7 @@ def make_network(layers: int, width: int, pattern, *, weights=None, bias=None, r
 
 def forward(system: core.MetastableSystem) -> np.ndarray:
     """One full sweep from the initial state; returns the final full state."""
-    fresh = dataclasses.replace(system, current=system.init.copy())
+    fresh = dataclasses.replace(system, current=system.init)
     return core.advance(fresh, len(system.wiring)).current  # a step per weight block
 
 

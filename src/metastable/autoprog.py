@@ -156,8 +156,8 @@ def _state_vector(line: tuple[int, list[str]], key: str, expected: int) -> np.nd
 
 
 def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array, array]:
-    """The milieu's entries as packed row, column and weight arrays; p-sized
-    arrays wait until the init line has shown that p is real."""
+    """The milieu's entries as packed row and column arrays, plus weights if the milieu is
+    ``weighted`` (a net's); p-sized arrays wait until the init line has shown that p is real."""
     rows, cols, weights = array("q"), array("q"), array("d")
     for number, i, entries in _indexed(reader, "row", p, "milieu rows look like 'row <i>: <entries>'", ":"):
         seen: set[int] = set()
@@ -167,10 +167,9 @@ def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array
                     raise ParseError("weighted entries look like '<j>=<w>'", number)
                 j_text, w_text = entry.split("=", 1)
                 j = _int(j_text, "column index", number)
-                w = _float(w_text, "weight", number)
+                weights.append(_float(w_text, "weight", number))
             else:
                 j = _int(entry, "column index", number)
-                w = 1.0
             if not 0 <= j < p:
                 raise SemanticError("column index %d out of range for %d entities" % (j, p), number)
             if j in seen:
@@ -178,7 +177,6 @@ def _parse_milieu(reader: _Reader, p: int, weighted: bool) -> tuple[array, array
             seen.add(j)
             rows.append(i)
             cols.append(j)
-            weights.append(w)
     return rows, cols, weights
 
 
@@ -272,7 +270,7 @@ def parse(text: str) -> Document:
 
     if kind == "ca" and layered is not None:
         raise UnsupportedKind("cell populations update synchronously")
-    structural = core.Structural(init=init, current=init.copy())
+    structural = core.Structural(init=init, current=init)
     operational = core.Operational(update=update, wiring=wiring)
     system = core.modulate(structural, operational)  # a ring has at least 3 cells past here
     if kind == "ca":
@@ -303,20 +301,18 @@ def emit(doc: Document) -> str:
     width = system.width
     if system.kind == "ca":
         rows = [" ".join(map(str, row)) for row in np.sort(core.ring_columns(system.count), axis=1).tolist()]
+        update = ["table %s" % " ".join(str(b) for b in system.update.bits)]
     else:
         # the blocks' rows, in order, are units width, width+1, ...; the input layer reads nothing
         rows = [""] * width
         for u, row in enumerate(system.wiring.reshape(-1, width).tolist(), width):
             first = (u // width - 1) * width  # the layer before u's own
             rows.append(" ".join(["%d=%.*f" % (first + j, core.WEIGHT_DECIMALS, w) for j, w in enumerate(row) if w]))
-    lines += ["row %d: %s" % (i, entries) for i, entries in enumerate(rows) if entries]
-    lines.append("update:")
-    if system.kind == "ca":
-        lines.append("table %s" % " ".join(str(b) for b in system.update.bits))
-    else:
-        lines += ["layers %d" % (system.count // width), "width %d" % width, "strategy threshold"]
+        update = ["layers %d" % (system.count // width), "width %d" % width, "strategy threshold"]
         biases = system.update.bias.tolist()[width:]
-        lines += ["bias %d %.*f" % (i, core.WEIGHT_DECIMALS, b) for i, b in enumerate(biases, width)]
+        update += ["bias %d %.*f" % (i, core.WEIGHT_DECIMALS, b) for i, b in enumerate(biases, width)]
+    lines += ["row %d: %s" % (i, entries) for i, entries in enumerate(rows) if entries]
+    lines += ["update:", *update]
     lines.append("init %s" % core.render_state(system.init))
     lines.append("steps %d" % doc.steps)
     if doc.target is not None:
@@ -358,9 +354,6 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
 
     loads = []
 
-    def ints(name: str, values) -> str:
-        return syntax["ints"] % {"name": name, "values": _wrap(values)}
-
     def doubles(name: str, values) -> str:
         # float() and strtod both round correctly, so the program reads back each repr as the same double
         values = list(map(repr, values.tolist()))
@@ -374,7 +367,7 @@ def _fields(doc: Document, syntax: dict) -> dict[str, str]:
     if system.kind == "ca":
         milieu = ""
         reads = ["cell u reads cells u-1, u and u+1, wrapping"]
-        update = ints("TABLE", system.update.bits)
+        update = syntax["ints"] % {"name": "TABLE", "values": _wrap(system.update.bits)}
         note = ["neighbourhood code 4*left + 2*centre + right, looked up in the rule table"]
         lo, hi = "0", "P"
     else:

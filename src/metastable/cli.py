@@ -215,7 +215,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
 
 def _load_config(path: str) -> list[tuple[str, str]]:
     pairs = []
-    for raw in _read_text(path).split("\n"):
+    for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -19,6 +19,9 @@ STEP1 = "0000000000000011000000000000000"
 
 RULE_110_BITS = (0, 1, 1, 1, 0, 1, 1, 0)
 
+# every line boundary str.splitlines knows but "\n"; "\r\n" is one break
+LINE_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 @pytest.fixture
 def reference_problem():

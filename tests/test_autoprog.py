@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DOCUMENT_EDITS, INIT, STEPS, TARGET, make_rng, mutate
+from conftest import DOCUMENT_EDITS, INIT, LINE_BREAKS, STEPS, TARGET, make_rng, mutate
 from metastable import ann, autoprog, ca, core
 from metastable.errors import (
     BadDimensions,
@@ -79,10 +79,6 @@ def test_comments_and_blank_lines_are_ignored():
     text = autoprog.emit(ca_document())
     sprinkled = "# a note\n\n" + text.replace("steps 3", "steps 3  # three steps")
     assert autoprog.parse(sprinkled) == ca_document()
-
-
-# every line boundary str.splitlines knows; "\r\n" is one break
-LINE_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def test_lines_end_at_every_break_that_splitlines_knows():
@@ -587,6 +583,9 @@ def test_toolchain_rejects_unknown_placeholders():
 def test_compile_and_run_returns_stdout():
     config = autoprog.ToolchainConfig(command="cat {src}")
     assert autoprog.compile_and_run("hello\n", config, suffix=".txt") == "hello\n"
+    # {dir} is the scratch directory that holds the source and nothing else
+    config = autoprog.ToolchainConfig(command="ls {dir} && true {src}")
+    assert autoprog.compile_and_run("x", config, suffix=".txt") == "program.txt\n"
 
 
 def test_compile_and_run_reports_failures():

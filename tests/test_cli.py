@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DOCUMENT_EDITS, INIT, STEPS, TARGET, make_rng, mutate
+from conftest import DOCUMENT_EDITS, INIT, LINE_BREAKS, STEPS, TARGET, make_rng, mutate
 from metastable import ann, autoprog, ca, cli, core
 from metastable.errors import UnsupportedKind
 
@@ -575,6 +575,15 @@ def test_config_values_can_satisfy_required_flags(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["ca-run", "--config", str(conf)])
     assert code == 0
     assert out.splitlines()[-1] == TARGET
+
+
+def test_config_lines_end_at_every_break_the_text_form_knows(capsys, tmp_path):
+    conf = tmp_path / "enumerate.conf"
+    lines = ["init %s" % INIT, "# a comment", "target %s" % TARGET, "steps %d" % STEPS]
+    for brk in ["\n"] + LINE_BREAKS:
+        conf.write_bytes(brk.join(lines).encode("utf-8") + brk.encode("utf-8"))
+        code, out, err = run_cli(capsys, ["ca-enumerate", "--config", str(conf)])
+        assert (code, out.splitlines(), err) == (0, ["110", "count 1"], ""), repr(brk)
 
 
 def test_malformed_config_lines_exit_two(capsys, tmp_path):

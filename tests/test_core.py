@@ -296,6 +296,60 @@ def test_modulate_rejects_a_net_wiring_with_no_blocks_or_no_width():
             core.modulate(structural, operational)
 
 
+class ForeignKind:
+    """An update function of a kind that ``modulate`` does not know."""
+
+    kind = "lut"
+
+    def propagate(self, system, active):
+        return system.current[active]
+
+
+@pytest.mark.parametrize(
+    "bind, error, message",
+    [
+        (
+            lambda: core.modulate(
+                core.Structural(init=np.zeros(0, dtype=np.int64), current=np.zeros(0, dtype=np.int64)),
+                core.Operational(update=ca.RuleTable(110), wiring=None),
+            ),
+            TooFewEntities,
+            r"^need at least one entity, got 0$",
+        ),
+        (
+            lambda: core.modulate(
+                core.Structural(init="100000", current="100000"),
+                core.Operational(update=ann.ThresholdGate(bias=np.zeros(5)), wiring=np.zeros((2, 2, 2))),
+            ),
+            DimensionMismatch,
+            r"^bias has shape \(5,\), expected \(6,\)$",
+        ),
+        (
+            lambda: ann.make_network(2, 2, "10", bias=[0, 0, np.nan, 0]),
+            NonFiniteInput,
+            "^bias contains non-finite values$",
+        ),
+        (
+            lambda: core.modulate(
+                core.Structural(init="0101", current="0101"), core.Operational(update=ForeignKind(), wiring=None)
+            ),
+            UnsupportedKind,
+            "^unknown system kind 'lut'$",
+        ),
+    ],
+    ids=["empty-init", "bias-length", "nan-bias", "unknown-kind"],
+)
+def test_modulate_refuses_what_no_system_can_be(bind, error, message):
+    with pytest.raises(error, match=message):
+        bind()
+
+
+def test_equality_with_another_type_is_left_to_python():
+    system = ca.make_automaton(110, "0101")
+    assert system.__eq__("0101") is NotImplemented
+    assert system != "0101"
+
+
 def test_modulate_rejects_input_layer_bias():
     system = ann.make_network(3, 2, "10")
     structural, operational = core.demodulate(system)

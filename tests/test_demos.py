@@ -1,6 +1,7 @@
 """Each demo script runs clean and prints something, and the README's quick
 start runs as written and prints what its comments say."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -16,11 +17,14 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
+    # the child imports this checkout's package, whatever PYTHONPATH said
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
